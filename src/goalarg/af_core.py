@@ -7,9 +7,11 @@ goal-selection stage (which only needs conflict-free enumeration) and the
 explanation stage (which evaluates per-goal frameworks, grounded by
 default).
 
-Everything is a pure function over immutable values.  Enumeration is
-exhaustive with conflict pruning over the sorted node order, which is fine
-at deliberation scale (a few dozen nodes); results come back in a fixed
+Everything is a pure function over immutable values.  Each framework
+indexes its attackers once, on first use, and every semantics reads that
+index instead of rescanning the attack set.  Enumeration is exhaustive
+with conflict pruning over the sorted node order, which is fine at
+deliberation scale (a few dozen nodes); results come back in a fixed
 lexicographic order so golden tests are stable.
 """
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InputError
 
@@ -45,10 +48,18 @@ class AbstractAF:
             if attacker == target:
                 raise InputError(f"self-attack on {attacker!r} is not allowed")
 
+    @cached_property
+    def _attackers(self) -> dict[str, frozenset[str]]:
+        found: dict[str, set[str]] = {n: set() for n in self.nodes}
+        for attacker, target in self.attacks:
+            found[target].add(attacker)
+        return {n: frozenset(a) for n, a in found.items()}
+
     def attackers_of(self, node: str) -> frozenset[str]:
-        if node not in self.nodes:
+        attackers = self._attackers.get(node)
+        if attackers is None:
             raise InputError(f"unknown node {node!r}")
-        return frozenset(a for a, t in self.attacks if t == node)
+        return attackers
 
 
 def _neighbour_map(af: AbstractAF) -> dict[str, set[str]]:
@@ -58,17 +69,6 @@ def _neighbour_map(af: AbstractAF) -> dict[str, set[str]]:
         adj[attacker].add(target)
         adj[target].add(attacker)
     return adj
-
-
-def _attacker_map(af: AbstractAF) -> dict[str, set[str]]:
-    att: dict[str, set[str]] = {n: set() for n in af.nodes}
-    for attacker, target in af.attacks:
-        att[target].add(attacker)
-    return att
-
-
-def _sorted_sets(sets: Iterable[frozenset[str]]) -> list[frozenset[str]]:
-    return sorted(sets, key=lambda s: tuple(sorted(s)))
 
 
 def conflict_free_sets(af: AbstractAF) -> list[frozenset[str]]:
@@ -92,17 +92,16 @@ def conflict_free_sets(af: AbstractAF) -> list[frozenset[str]]:
             current.pop()
 
     extend(0, [], set())
-    return _sorted_sets(found)
+    return sorted(found, key=lambda s: tuple(sorted(s)))
 
 
 def defends(af: AbstractAF, s: Iterable[str], a: str) -> bool:
     """True iff every attacker of `a` is attacked by some member of `s`."""
-    members = set(s)
-    for m in members:
-        if m not in af.nodes:
-            raise InputError(f"unknown node {m!r}")
-    attacks_from_s = {t for (x, t) in af.attacks if x in members}
-    return all(attacker in attacks_from_s for attacker in af.attackers_of(a))
+    members = frozenset(s)
+    unknown = members - af._attackers.keys()
+    if unknown:
+        raise InputError(f"unknown node {next(iter(unknown))!r}")
+    return all(not af._attackers[x].isdisjoint(members) for x in af.attackers_of(a))
 
 
 def characteristic(af: AbstractAF, s: Iterable[str]) -> frozenset[str]:
@@ -123,31 +122,23 @@ def grounded_extension(af: AbstractAF) -> frozenset[str]:
 
 def admissible_sets(af: AbstractAF) -> list[frozenset[str]]:
     """Conflict-free sets that defend all of their members."""
-    return _sorted_sets(
-        s for s in conflict_free_sets(af) if s <= characteristic(af, s)
-    )
+    return [s for s in conflict_free_sets(af) if s <= characteristic(af, s)]
 
 
 def complete_extensions(af: AbstractAF) -> list[frozenset[str]]:
     """Conflict-free fixpoints of the defense function."""
-    return _sorted_sets(
-        s for s in conflict_free_sets(af) if s == characteristic(af, s)
-    )
+    return [s for s in conflict_free_sets(af) if s == characteristic(af, s)]
 
 
 def preferred_extensions(af: AbstractAF) -> list[frozenset[str]]:
     """Maximal (by set inclusion) complete extensions."""
     complete = complete_extensions(af)
-    return _sorted_sets(
-        s for s in complete if not any(s < other for other in complete)
-    )
+    return [s for s in complete if not any(s < other for other in complete)]
 
 
 def stable_extensions(af: AbstractAF) -> list[frozenset[str]]:
     """Conflict-free sets attacking every outside node; may be empty."""
-    out: list[frozenset[str]] = []
-    for s in conflict_free_sets(af):
-        attacked = {t for (a, t) in af.attacks if a in s}
-        if all(n in attacked for n in af.nodes if n not in s):
-            out.append(s)
-    return _sorted_sets(out)
+    return [
+        s for s in conflict_free_sets(af)
+        if all(not af.attackers_of(n).isdisjoint(s) for n in af.nodes if n not in s)
+    ]

@@ -75,9 +75,6 @@ class GeneralAF:
     def goal_map(self) -> dict[str, GoalDecl]:
         return {g.id: g for g in self.goals}
 
-    def arg_map(self) -> dict[str, InstrumentalArgDecl]:
-        return {a.id: a for a in self.args}
-
     def attacks_with_kind(self, kind: IncompatibilityKind) -> frozenset[tuple[str, str]]:
         return frozenset(pair for pair, labels in self.attacks.items() if kind in labels)
 
@@ -158,32 +155,37 @@ def validate(gaf: GeneralAF) -> list[ValidationIssue]:
 
 
 def _sub_arg_cycles(gaf: GeneralAF) -> list[ValidationIssue]:
-    graph = {a.id: [s for s in a.sub_args] for a in gaf.args}
+    """Depth-first search with an explicit stack, so chains of any depth
+    are checked without recursion."""
+    graph = {a.id: a.sub_args for a in gaf.args}
     state: dict[str, int] = {}  # 0 visiting, 1 done
     issues: list[ValidationIssue] = []
 
-    def visit(node: str, trail: list[str]) -> None:
-        if state.get(node) == 1:
-            return
-        if state.get(node) == 0:
-            cycle = trail[trail.index(node):] + [node]
-            issues.append(
-                ValidationIssue(
-                    "error",
-                    f"arguments ({node})",
-                    "cyclic sub-argument relation: " + " -> ".join(cycle),
-                )
-            )
-            return
-        state[node] = 0
-        for child in graph.get(node, ()):
-            if child in graph:
-                visit(child, trail + [node])
-        state[node] = 1
-
     for root in sorted(graph):
-        if root not in state:
-            visit(root, [])
+        if root in state:
+            continue
+        state[root] = 0
+        path = [root]
+        pending = [iter(graph[root])]
+        while pending:
+            for child in pending[-1]:
+                if state.get(child) == 0:
+                    cycle = path[path.index(child):] + [child]
+                    issues.append(
+                        ValidationIssue(
+                            "error",
+                            f"arguments ({child})",
+                            "cyclic sub-argument relation: " + " -> ".join(cycle),
+                        )
+                    )
+                elif child in graph and child not in state:
+                    state[child] = 0
+                    path.append(child)
+                    pending.append(iter(graph[child]))
+                    break
+            else:
+                state[path.pop()] = 1
+                pending.pop()
     return issues
 
 

@@ -85,7 +85,17 @@ def _parse_preference(raw: Any, location: str) -> Fraction:
         value = Fraction(str(raw) if isinstance(raw, float) else raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise ScenarioError(f"not a valid rational: {raw!r}", location) from exc
-    _expect(0 < value <= 1, f"preference {value} outside (0, 1]", location)
+    try:
+        # Reports print every preference exactly; a value with more digits
+        # than the interpreter converts to text can never be reported.
+        format_rational(value)
+        str(value)
+    except ValueError:
+        raise ScenarioError(
+            "preference has more digits than can be printed", location
+        ) from None
+    if not 0 < value <= 1:
+        raise ScenarioError(f"preference {value} outside (0, 1]", location)
     return value
 
 
@@ -157,6 +167,8 @@ def _parse_arguments(doc: Mapping[str, Any]) -> tuple[InstrumentalArgDecl, ...]:
         )
         sub = entry.get("sub_args", [])
         _expect(isinstance(sub, list), "'sub_args' must be a list", f"{loc}.sub_args")
+        for j, sub_id in enumerate(sub):
+            _expect(isinstance(sub_id, str), "must be a string", f"{loc}.sub_args[{j}]")
         out.append(InstrumentalArgDecl(entry["id"], entry["claim"], tuple(sub)))
     return tuple(out)
 
@@ -241,7 +253,8 @@ def parse_scenario(doc: Any) -> Scenario:
         main = _default_main_goals(goals, general)
     else:
         _expect(isinstance(main_raw, list), "'main_goals' must be a list", "main_goals")
-        for g in main_raw:
+        for i, g in enumerate(main_raw):
+            _expect(isinstance(g, str), "must be a string", f"main_goals[{i}]")
             _expect(g in goal_ids, f"unknown goal {g!r}", "main_goals")
         main = frozenset(main_raw)
 

@@ -73,8 +73,9 @@ def select(
             return utility_sum_main(s, gaf_sc.pref, main_goals or frozenset())
         return utility_sum_all(s, gaf_sc.pref)
 
-    best = max((score(s) for s in candidates), default=Fraction(0))
-    maxima = tuple(s for s in candidates if score(s) == best)
+    scores = [score(s) for s in candidates]
+    best = max(scores, default=Fraction(0))
+    maxima = tuple(s for s, value in zip(candidates, scores) if value == best)
     return SelectionResult(
         pursued=maxima[0],
         winning_utility=best,

@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, combinations
 
+from goalarg import RuleInstance
+
 
 def powerset(nodes):
     items = sorted(nodes)
@@ -113,3 +115,12 @@ def max_utility_brute(goals, conflicts, weights):
         if sum((weights[g] for g in s), start=Fraction(0)) == best
     }
     return maxima, best, len(candidates)
+
+
+def derives(support, claim):
+    """True iff some rule instance in the support fires entirely inside it
+    and concludes the claim."""
+    return any(
+        isinstance(e, RuleInstance) and e.head == claim and set(e.body) <= support
+        for e in support
+    )

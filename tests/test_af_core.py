@@ -125,6 +125,10 @@ def test_semantics_match_oracle(af):
     assert grounded_extension(af) == oracles.grounded_brute(nodes, attacks)
     assert set(preferred_extensions(af)) == oracles.preferred_brute(nodes, attacks)
     assert set(stable_extensions(af)) == oracles.stable_brute(nodes, attacks)
+    # The conflict-free sets include the empty one.
+    for s in oracles.conflict_free_brute(nodes, attacks):
+        for a in nodes:
+            assert defends(af, s, a) == oracles.defends(nodes, attacks, s, a)
 
 
 @settings(max_examples=200)

@@ -295,3 +295,45 @@ def test_scenario_config_utility(run, tmp_path):
     assert "pursued: {a}" in out
     code, out, _ = run("select", path, "--utility", "sum_all")
     assert "pursued: {b}" in out
+
+
+
+def cleaner_doc():
+    return json.loads(CLEANER_WORLD.read_text())
+
+
+def add_sub_arg_chain(doc, cyclic):
+    """Add 1,500 plans for g1, each the sub-argument of the one before."""
+    ids = [f"P{i}" for i in range(1500)]
+    ends = [[ids[0]] if cyclic else []]
+    for pid, subs in zip(ids, [[nxt] for nxt in ids[1:]] + ends):
+        doc["arguments"].append({"id": pid, "claim": "g1", "sub_args": subs})
+
+
+@pytest.mark.parametrize("command", ["validate", "select", "report"])
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d.update(main_goals=[["x"]]),
+        lambda d: d["arguments"][0].update(sub_args=[["x"]]),
+        lambda d: d["goals"][0].update(preference="1e999999"),
+        lambda d: d["goals"][0].update(preference="1e-5000"),
+        lambda d: add_sub_arg_chain(d, cyclic=False),
+        lambda d: add_sub_arg_chain(d, cyclic=True),
+    ],
+    ids=["main-goal-list", "sub-arg-list", "pref-1e999999", "pref-1e-5000",
+         "deep-chain", "deep-cycle"],
+)
+def test_hostile_inputs_end_in_an_exit_code(run, tmp_path, command, mutate):
+    doc = cleaner_doc()
+    mutate(doc)
+    code, _out, err = run(command, write_scenario(tmp_path, doc))
+    assert code in (0, 1)
+    assert sum(line.startswith("error:") for line in err.splitlines()) <= 1
+
+
+def test_deep_sub_argument_chain_validates(run, tmp_path):
+    doc = cleaner_doc()
+    add_sub_arg_chain(doc, cyclic=False)
+    code, out, err = run("validate", write_scenario(tmp_path, doc))
+    assert (code, out.strip(), err) == (0, "ok", "")

@@ -30,7 +30,8 @@ from goalarg import (
     why,
     why_not,
 )
-from goalarg.explain import SCHEMAS, derives
+from goalarg.explain import SCHEMAS
+from oracles import derives
 
 
 @pytest.fixture(scope="module")
@@ -122,12 +123,18 @@ def test_single_rule_argument_has_two_element_support():
     assert arg.claim == Claim("g", True)
 
 
-def test_supports_are_minimal_by_exhaustive_removal(cleaner_model):
-    for arg in cleaner_model.arguments:
+def assert_supports_minimal(arguments):
+    """Each support derives its claim, not the opposite claim, and stops
+    deriving it when any one element is removed."""
+    for arg in arguments:
         assert derives(arg.support, arg.claim)
         assert not derives(arg.support, arg.claim.negation())
         for element in arg.support:
             assert not derives(arg.support - {element}, arg.claim)
+
+
+def test_supports_are_minimal_by_exhaustive_removal(cleaner_model):
+    assert_supports_minimal(cleaner_model.arguments)
 
 
 def test_construct_rejects_foreign_instances(cleaner_model):
@@ -315,6 +322,7 @@ def test_pipeline_coherence_on_random_scenarios():
         claims = {(a.claim.goal, a.claim.pursued) for a in model.arguments}
         for goal in filtered.goals:
             assert (goal, goal in selection.pursued) in claims
+        assert_supports_minimal(model.arguments)
 
 
 def test_defeat_edges_connect_rebutting_pairs_only():

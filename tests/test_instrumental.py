@@ -12,6 +12,7 @@ from goalarg import (
     InputError,
     InstrumentalArgDecl,
     ValidationError,
+    ValidationIssue,
     args_for_goal,
     format_kinds,
     kinds_from_letters,
@@ -58,7 +59,26 @@ def test_cyclic_sub_arguments_are_reported():
         InstrumentalArgDecl("B", "g1", ("A",)),
     )
     gaf = GeneralAF(CLEANER_GOALS, args, {})
-    assert any("cyclic" in i.message for i in validate(gaf))
+    assert validate(gaf) == [
+        ValidationIssue("error", "arguments (A)", "cyclic sub-argument relation: A -> B -> A")
+    ]
+
+
+def sub_arg_chain(depth, cyclic):
+    """Plans P0 -> P1 -> ... -> P<depth-1>, closed back to P0 if cyclic."""
+    ids = [f"P{i}" for i in range(depth)]
+    subs = [(nxt,) for nxt in ids[1:]] + [(ids[0],) if cyclic else ()]
+    return GeneralAF(
+        CLEANER_GOALS, tuple(InstrumentalArgDecl(a, "g1", sub) for a, sub in zip(ids, subs)), {}
+    )
+
+
+def test_deep_sub_argument_cycle_is_one_issue():
+    (issue,) = validate(sub_arg_chain(1500, cyclic=True))
+    assert issue.severity == "error"
+    assert issue.location == "arguments (P0)"
+    assert issue.message.startswith("cyclic sub-argument relation: P0 -> P1 -> P2")
+    assert issue.message.endswith("P1499 -> P0")
 
 
 def test_preference_out_of_range_is_reported():

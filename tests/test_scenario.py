@@ -113,6 +113,8 @@ def test_direct_goal_attacks_reject_inconsistent_reverse(tmp_path):
         (lambda d: d.pop("attacks"), "$"),
         (lambda d: d.update(mystery=1), "$"),
         (lambda d: d.update(main_goals=["gX"]), "main_goals"),
+        (lambda d: d.update(main_goals=[["x"]]), "main_goals[0]"),
+        (lambda d: d["arguments"][0].update(sub_args=[["x"]]), "arguments[0].sub_args[0]"),
         (lambda d: d.update(config={"utility": "product"}), "config.utility"),
         (lambda d: d.update(config={"semantics": "ideal"}), "config.semantics"),
         (lambda d: d.update(config={"tie_break": "random"}), "config.tie_break"),
@@ -125,6 +127,17 @@ def test_schema_violations_carry_locations(mutate, location):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(doc)
     assert err.value.location == location
+
+
+@pytest.mark.parametrize("raw", ["1e999999", "1e-5000"])
+def test_unprintable_preferences_are_rejected(raw):
+    # 1e999999 is out of range and 1e-5000 in range, but neither value can
+    # be converted to text under the interpreter's int-to-str digit limit.
+    doc = load_doc()
+    doc["goals"][0]["preference"] = raw
+    with pytest.raises(ScenarioError, match="digits") as err:
+        parse_scenario(doc)
+    assert err.value.location == "goals[0].preference"
 
 
 def test_duplicate_attack_pair_with_identical_kinds_is_tolerated(tmp_path):
