@@ -75,7 +75,8 @@ def conflict_free_sets(af: AbstractAF) -> list[frozenset[str]]:
     """All subsets with no internal attack in either direction.
 
     The empty set is always included.  Enumerated by backtracking over the
-    sorted node order, pruning any node in conflict with the current set.
+    sorted node order, pruning any node in conflict with the current set;
+    the pre-order walk already emits the sets in lexicographic order.
     """
     adj = _neighbour_map(af)
     order = af.nodes
@@ -92,7 +93,7 @@ def conflict_free_sets(af: AbstractAF) -> list[frozenset[str]]:
             current.pop()
 
     extend(0, [], set())
-    return sorted(found, key=lambda s: tuple(sorted(s)))
+    return found
 
 
 def defends(af: AbstractAF, s: Iterable[str], a: str) -> bool:

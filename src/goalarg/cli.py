@@ -14,13 +14,11 @@ import sys
 from collections.abc import Mapping
 from typing import Any
 
-from . import explain as explain_mod
 from .af_core import AbstractAF
 from .errors import GoalArgError, InputError
-from .explain import Explanation, ExplanationKind, Semantics
+from .explain import Explanation, ExplanationKind, Semantics, complete_explanation, why, why_not
 from .render import export_dot, format_rational, render_partial_explanation
 from .scenario import (
-    RunReport,
     argument_to_dict,
     belief_to_dict,
     load_scenario,
@@ -89,13 +87,6 @@ def _cmd_beliefs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _query(report: RunReport, direction: str, goal: str, complete: bool,
-           semantics: Semantics) -> Explanation:
-    if direction == "why":
-        return explain_mod.why(report.model, goal, complete, semantics)
-    return explain_mod.why_not(report.model, goal, complete, semantics)
-
-
 def _explanation_payload(
     explanation: Explanation, names: Mapping[str, str]
 ) -> dict[str, Any]:
@@ -121,9 +112,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     semantics = Semantics(args.semantics) if args.semantics else None
     report = run_pipeline(scenario, semantics=semantics)
-    explanation = _query(
-        report, args.direction, args.goal, args.complete, report.config.semantics
-    )
+    ask = why if args.direction == "why" else why_not
+    explanation = ask(report.model, args.goal, args.complete, report.config.semantics)
     names = scenario.names()
     if args.format == "dot":
         sys.stdout.write(export_dot(explanation.xaf))
@@ -131,16 +121,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     if args.format == "structured":
         print(_dump(_explanation_payload(explanation, names)))
         return 0
-    sentences = render_partial_explanation(explanation, names)  # errors on complete
-    multiple = len(explanation.extensions) > 1
-    position = 0
-    for i, extension in enumerate(explanation.extensions, start=1):
-        if multiple:
-            print(f"extension {i}:")
-        for _ in extension:
-            prefix = "  " if multiple else ""
-            print(f"{prefix}{sentences[position].text}")
-            position += 1
+    for sentence in render_partial_explanation(explanation, names):  # errors on complete
+        print(sentence.text)
     return 0
 
 
@@ -171,9 +153,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
         return 0
     if not args.goal:
         raise InputError("exporting an explanatory framework needs --goal")
-    if args.goal not in report.model.xafs:
-        raise InputError(f"unknown goal {args.goal!r}")
-    sys.stdout.write(export_dot(report.model.xafs[args.goal]))
+    sys.stdout.write(export_dot(complete_explanation(report.model, args.goal).xaf))
     return 0
 
 

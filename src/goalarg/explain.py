@@ -10,8 +10,12 @@ outcome, which is what actually decided the selection.  Each goal then
 gets its own framework whose extensions are the explanations.
 
 A complete explanation is the whole per-goal framework; a partial one is
-an extension under a configurable semantics (grounded by default, since it
-is unique and needs no extension-selection policy).
+an extension of it.  Every goal gets exactly one max_util or ¬max_util
+belief, so every framework the pipeline builds has one decisive argument
+(r5 or r6), unattacked and defeating each opponent: under grounded,
+complete, preferred and stable alike, its one extension is the side that
+agrees with the selection, read off directly.  The configurable semantics
+only matters for hand-built frameworks, which `af_core` evaluates.
 """
 
 from __future__ import annotations
@@ -34,9 +38,6 @@ class Claim:
 
     goal: str
     pursued: bool
-
-    def negation(self) -> "Claim":
-        return Claim(self.goal, not self.pursued)
 
     def __str__(self) -> str:
         return f"pursued({self.goal})" if self.pursued else f"¬pursued({self.goal})"
@@ -146,7 +147,7 @@ def trigger_rules(beliefs: Iterable[Belief]) -> tuple[RuleInstance, ...]:
 
     instances: list[RuleInstance] = []
     for schema in SCHEMAS:
-        matches: dict[tuple[str, str], RuleInstance] = {}
+        matches: dict[tuple[str, str], tuple] = {}
         first = schema.body[0]
         for belief in pool:
             if belief.kind is not first.kind:
@@ -158,25 +159,17 @@ def trigger_rules(beliefs: Iterable[Belief]) -> tuple[RuleInstance, ...]:
                 ground = tuple(subst[v] for v in atom.vars)
                 hit = by_shape.get((atom.kind, ground))
                 if hit is None:
-                    body = []
                     break
                 if atom.binds_labels:
                     labels = hit.labels
                 body.append(hit)
-            if not body:
-                continue
-            head = Claim(subst[schema.head_var], schema.head_pursued)
-            key = (subst["x"], subst.get("y", ""))
-            matches[key] = RuleInstance(
-                schema.id, subst["x"], subst.get("y"), labels, tuple(body), head
-            )
+            else:
+                head = Claim(subst[schema.head_var], schema.head_pursued)
+                key = (subst["x"], subst.get("y", ""))
+                matches[key] = (subst["x"], subst.get("y"), labels, tuple(body), head)
         for key in sorted(matches):
-            inst = matches[key]
             instances.append(
-                RuleInstance(
-                    inst.schema_id, inst.x, inst.y, inst.labels, inst.body,
-                    inst.head, index=len(instances) + 1,
-                )
+                RuleInstance(schema.id, *matches[key], index=len(instances) + 1)
             )
     return tuple(instances)
 
@@ -284,9 +277,16 @@ def extensions_of(
 ) -> tuple[tuple[ExplanatoryArgument, ...], ...]:
     """Evaluate the framework; each extension's members come back ordered.
 
-    Grounded yields exactly one extension; the multi-extension semantics
-    may yield several (or none, for stable), all of which are returned.
+    With `build_xaf`'s defeats, decisive arguments that all claim one
+    polarity (as in every pipeline framework) are unattacked and defeat
+    every opponent, so that side is the one extension under every
+    semantics.  Other frameworks go through `af_core`: grounded yields
+    one extension, the others several (or none, for stable), all returned.
     """
+    ordered = sorted(xaf.arguments, key=lambda a: a.index)
+    sides = {a.claim.pursued for a in ordered if a.decisive}
+    if len(sides) == 1:
+        return (tuple(a for a in ordered if a.claim.pursued in sides),)
     af = xaf.to_abstract()
     if semantics is Semantics.GROUNDED:
         id_sets = [af_core.grounded_extension(af)]
@@ -296,13 +296,8 @@ def extensions_of(
         id_sets = af_core.preferred_extensions(af)
     else:
         id_sets = af_core.stable_extensions(af)
-    by_id = {a.id: a for a in xaf.arguments}
-    extensions = [
-        tuple(sorted((by_id[i] for i in ids), key=lambda a: a.index))
-        for ids in id_sets
-    ]
-    extensions.sort(key=lambda ext: tuple(a.index for a in ext))
-    return tuple(extensions)
+    extensions = (tuple(a for a in ordered if a.id in ids) for ids in id_sets)
+    return tuple(sorted(extensions, key=lambda ext: [a.index for a in ext]))
 
 
 class QueryKind(Enum):
@@ -349,18 +344,28 @@ def build_explanation_model(gaf_sc: GoalAF, selection: SelectionResult) -> Expla
     return ExplanationModel(gaf_sc, selection, beliefs, instances, arguments, xafs)
 
 
-def _explanation(
+def _explain(
     model: ExplanationModel,
     goal: str,
-    query: QueryKind,
+    query: QueryKind | None,
     complete: bool,
     semantics: Semantics,
 ) -> Explanation:
+    """The one query body: `query` None asks in whichever direction the
+    selection went."""
+    if goal not in model.gaf_sc.goals:
+        raise InputError(f"unknown goal {goal!r}")
+    actual = QueryKind.WHY if goal in model.selection.pursued else QueryKind.WHY_NOT
+    if query not in (None, actual):
+        outcome = "became" if actual is QueryKind.WHY else "did not become"
+        raise QueryDirectionError(
+            f"{goal} {outcome} pursued; ask {actual.value} {goal}", actual.value
+        )
     xaf = model.xafs[goal]
     if complete:
-        return Explanation(goal, query, ExplanationKind.COMPLETE, xaf, None, ())
+        return Explanation(goal, actual, ExplanationKind.COMPLETE, xaf, None, ())
     return Explanation(
-        goal, query, ExplanationKind.PARTIAL, xaf, semantics, extensions_of(xaf, semantics)
+        goal, actual, ExplanationKind.PARTIAL, xaf, semantics, extensions_of(xaf, semantics)
     )
 
 
@@ -371,13 +376,7 @@ def why(
     semantics: Semantics = Semantics.GROUNDED,
 ) -> Explanation:
     """Explain why `goal` became pursued; only answerable for pursued goals."""
-    if goal not in model.gaf_sc.goals:
-        raise InputError(f"unknown goal {goal!r}")
-    if goal not in model.selection.pursued:
-        raise QueryDirectionError(
-            f"{goal} did not become pursued; ask why-not {goal}", "why-not"
-        )
-    return _explanation(model, goal, QueryKind.WHY, complete, semantics)
+    return _explain(model, goal, QueryKind.WHY, complete, semantics)
 
 
 def why_not(
@@ -387,18 +386,9 @@ def why_not(
     semantics: Semantics = Semantics.GROUNDED,
 ) -> Explanation:
     """Explain why `goal` did not become pursued; the mirror of `why`."""
-    if goal not in model.gaf_sc.goals:
-        raise InputError(f"unknown goal {goal!r}")
-    if goal in model.selection.pursued:
-        raise QueryDirectionError(
-            f"{goal} became pursued; ask why {goal}", "why"
-        )
-    return _explanation(model, goal, QueryKind.WHY_NOT, complete, semantics)
+    return _explain(model, goal, QueryKind.WHY_NOT, complete, semantics)
 
 
 def complete_explanation(model: ExplanationModel, goal: str) -> Explanation:
     """The goal's full explanatory framework, whichever way the query runs."""
-    if goal not in model.gaf_sc.goals:
-        raise InputError(f"unknown goal {goal!r}")
-    query = QueryKind.WHY if goal in model.selection.pursued else QueryKind.WHY_NOT
-    return _explanation(model, goal, query, complete=True, semantics=Semantics.GROUNDED)
+    return _explain(model, goal, None, True, Semantics.GROUNDED)

@@ -75,9 +75,6 @@ class GeneralAF:
     def goal_map(self) -> dict[str, GoalDecl]:
         return {g.id: g for g in self.goals}
 
-    def attacks_with_kind(self, kind: IncompatibilityKind) -> frozenset[tuple[str, str]]:
-        return frozenset(pair for pair, labels in self.attacks.items() if kind in labels)
-
 
 @dataclass(frozen=True)
 class ValidationIssue:

@@ -16,6 +16,9 @@ bytes.
 from __future__ import annotations
 
 import json
+import math
+import re
+import sys
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -76,13 +79,35 @@ def _expect(condition: bool, message: str, location: str) -> None:
         raise ScenarioError(message, location)
 
 
+# The interpreter converts at most this many digits between int and str;
+# with that limit switched off, its default still bounds what is accepted.
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+_DIGITS_BOUND = 10**_MAX_DIGITS
+_PLACES_BOUNDS = (2**_MAX_DIGITS, 5**_MAX_DIGITS)
+_TOO_LONG = "preference has more digits than can be printed"
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
+def _exact(text: str) -> Fraction:
+    """`Fraction(text)`, but an exponent past `_MAX_DIGITS` raises up front:
+    such a value never prints, and `Fraction` would build 10**exp exactly
+    (seconds for "1e-9999999")."""
+    match = _EXPONENT.search(text)
+    digits = match.group(1).replace("_", "").lstrip("0") if match else ""
+    if len(digits) > 9 or int(digits or 0) > _MAX_DIGITS:
+        raise OverflowError(f"exponent too large in {text!r}")
+    return Fraction(text)
+
+
 def _parse_preference(raw: Any, location: str) -> Fraction:
     if isinstance(raw, bool) or not isinstance(raw, (int, float, Fraction, str)):
         raise ScenarioError(f"preference must be a number, got {raw!r}", location)
     try:
         # Floats (from documents parsed without parse_float) go through their
         # shortest decimal form, so 0.8 means 4/5 exactly.
-        value = Fraction(str(raw) if isinstance(raw, float) else raw)
+        value = _exact(str(raw)) if isinstance(raw, (float, str)) else Fraction(raw)
+    except OverflowError:
+        raise ScenarioError(_TOO_LONG, location) from None
     except (ValueError, ZeroDivisionError) as exc:
         raise ScenarioError(f"not a valid rational: {raw!r}", location) from exc
     try:
@@ -91,9 +116,7 @@ def _parse_preference(raw: Any, location: str) -> Fraction:
         format_rational(value)
         str(value)
     except ValueError:
-        raise ScenarioError(
-            "preference has more digits than can be printed", location
-        ) from None
+        raise ScenarioError(_TOO_LONG, location) from None
     if not 0 < value <= 1:
         raise ScenarioError(f"preference {value} outside (0, 1]", location)
     return value
@@ -119,6 +142,12 @@ def _parse_goals(doc: Mapping[str, Any]) -> tuple[GoalDecl, ...]:
             f"{loc}.predicate",
         )
         out.append(GoalDecl(gid, predicate, _parse_preference(entry["preference"], f"{loc}.preference")))
+    # A utility sums at most len(out) preferences, so its denominator divides
+    # their LCM, its numerator is at most len(out) times that, and its decimal
+    # places are at most the LCM's count of factor 2 or of 5, whichever is more.
+    lcm = math.lcm(*(g.preference.denominator for g in out))
+    printable = len(out) * lcm < _DIGITS_BOUND and all(lcm % b for b in _PLACES_BOUNDS)
+    _expect(printable, "preferences sum to more digits than can be printed", "goals")
     return tuple(out)
 
 
@@ -288,11 +317,13 @@ def load_scenario(path: str | Path) -> Scenario:
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}", str(path)) from exc
     try:
-        doc = json.loads(text, parse_float=Fraction)
+        doc = json.loads(text, parse_float=_exact)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"invalid JSON: {exc.msg}", f"{path}:{exc.lineno}:{exc.colno}"
         ) from exc
+    except (ValueError, OverflowError):  # a number literal too long to read
+        raise ScenarioError("a number has more digits than can be read", str(path)) from None
     return parse_scenario(doc)
 
 

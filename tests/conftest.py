@@ -100,3 +100,26 @@ def random_goal_af(rng: random.Random, max_goals: int = 15) -> GoalAF:
                 incomp[(g, h)] = labels
                 incomp[(h, g)] = labels
     return GoalAF(goals, frozenset(attacks), incomp, pref, Stage.RAW)
+
+
+def random_general_af(rng: random.Random, max_goals: int = 7) -> GeneralAF:
+    """A random instrumental framework: up to three plans per goal (a goal
+    may have none) and symmetric labeled attacks between plans of
+    different goals."""
+    goals = tuple(
+        GoalDecl(f"g{i:02d}", f"goal{i}()", Fraction(rng.randint(1, 10), 10))
+        for i in range(rng.randint(1, max_goals))
+    )
+    plans = tuple(
+        InstrumentalArgDecl(f"{g.id}p{j}", g.id)
+        for g in goals
+        for j in range(rng.randint(0, 3))
+    )
+    p = rng.choice([0.3, 0.6, 0.9, 1.0])
+    attacks = {}
+    for i, a in enumerate(plans):
+        for b in plans[i + 1:]:
+            if a.claim != b.claim and rng.random() < p:
+                labels = kinds_from_letters(rng.sample("trs", rng.randint(1, 3)))
+                attacks[(a.id, b.id)] = attacks[(b.id, a.id)] = labels
+    return GeneralAF(goals, plans, attacks)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, combinations
 
-from goalarg import RuleInstance
+from goalarg import Claim, RuleInstance
 
 
 def powerset(nodes):
@@ -124,3 +124,12 @@ def derives(support, claim):
         isinstance(e, RuleInstance) and e.head == claim and set(e.body) <= support
         for e in support
     )
+
+
+def negation(claim):
+    return Claim(claim.goal, not claim.pursued)
+
+
+def attacks_with_kind(gaf, kind):
+    """The plan-level attack pairs whose label set contains `kind`."""
+    return frozenset(pair for pair, labels in gaf.attacks.items() if kind in labels)

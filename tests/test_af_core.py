@@ -112,8 +112,11 @@ def test_validation_rejects_unknown_endpoints():
 @settings(max_examples=200)
 @given(abstract_afs())
 def test_conflict_free_sets_match_oracle(af):
-    got = set(conflict_free_sets(af))
-    assert got == oracles.conflict_free_brute(af.nodes, af.attacks)
+    got = conflict_free_sets(af)
+    assert set(got) == oracles.conflict_free_brute(af.nodes, af.attacks)
+    # Selection's primary pick relies on this order: sorted, no repeats.
+    keys = [tuple(sorted(s)) for s in got]
+    assert keys == sorted(set(keys))
 
 
 @settings(max_examples=200)

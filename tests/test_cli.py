@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from conftest import CLEANER_WORLD, GOLDEN_DIR
+from conftest import CLEANER_WORLD, GOLDEN_DIR, REPO_ROOT
 from goalarg.cli import main
 
 
@@ -222,6 +225,8 @@ def test_export_xaf_requires_goal(run):
     code, out, _ = run("export", CLEANER_WORLD, "--dot", "xaf", "--goal", "g2")
     assert code == 0
     assert out.count(" -> ") == 3
+    code, _out, err = run("export", CLEANER_WORLD, "--dot", "xaf", "--goal", "g9")
+    assert (code, err) == (1, "error: unknown goal 'g9'\n")
 
 
 def test_direct_goal_attack_path(run, tmp_path):
@@ -310,6 +315,20 @@ def add_sub_arg_chain(doc, cyclic):
         doc["arguments"].append({"id": pid, "claim": "g1", "sub_args": subs})
 
 
+def with_literal(doc, literal):
+    """The document text with goal g1's preference written as `literal`,
+    which json.dumps cannot produce."""
+    doc["goals"][0]["preference"] = "LITERAL"
+    return json.dumps(doc).replace('"LITERAL"', literal)
+
+
+def tiny_selected_preferences(doc):
+    """g1 and g5 are both selected; each preference prints, but their sum
+    has a denominator of about 7,200 digits."""
+    doc["goals"][0]["preference"] = f"1/{3**8000}"
+    doc["goals"][4]["preference"] = f"1/{7**4000}"
+
+
 @pytest.mark.parametrize("command", ["validate", "select", "report"])
 @pytest.mark.parametrize(
     "mutate",
@@ -320,16 +339,54 @@ def add_sub_arg_chain(doc, cyclic):
         lambda d: d["goals"][0].update(preference="1e-5000"),
         lambda d: add_sub_arg_chain(d, cyclic=False),
         lambda d: add_sub_arg_chain(d, cyclic=True),
+        lambda d: with_literal(d, "1" * 5000),
+        tiny_selected_preferences,
+        lambda d: d["goals"][0].update(preference="1e-9999999"),
+        lambda d: with_literal(d, "1e-9999999"),
     ],
     ids=["main-goal-list", "sub-arg-list", "pref-1e999999", "pref-1e-5000",
-         "deep-chain", "deep-cycle"],
+         "deep-chain", "deep-cycle", "pref-5000-digit-int", "pref-sum-7200-digits",
+         "pref-1e-9999999", "pref-literal-1e-9999999"],
 )
 def test_hostile_inputs_end_in_an_exit_code(run, tmp_path, command, mutate):
     doc = cleaner_doc()
-    mutate(doc)
-    code, _out, err = run(command, write_scenario(tmp_path, doc))
+    text = mutate(doc)  # a mutation returns the text when JSON cannot hold it
+    path = tmp_path / "scenario.json"
+    path.write_text(text or json.dumps(doc), encoding="utf-8")
+    code, _out, err = run(command, path)
     assert code in (0, 1)
     assert sum(line.startswith("error:") for line in err.splitlines()) <= 1
+
+
+def clique_doc(n):
+    goals = [
+        {"id": f"g{i:02d}", "predicate": f"task{i}()", "preference": f"{i}/{n}"}
+        for i in range(1, n + 1)
+    ]
+    attacks = [
+        {"from": a["id"], "to": b["id"], "kinds": ["r"]}
+        for i, a in enumerate(goals)
+        for b in goals[i + 1:]
+    ]
+    return {"goals": goals, "goal_attacks": attacks}
+
+
+def test_every_semantics_answers_a_large_clique_quickly(tmp_path):
+    # Generic evaluation under complete or preferred enumerates every
+    # conflict-free set of each per-goal framework: 2^24 for g01 here.
+    path = write_scenario(tmp_path, clique_doc(24))
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    outputs = {}
+    for semantics in ("grounded", "complete", "preferred", "stable"):
+        done = subprocess.run(
+            [sys.executable, "-m", "goalarg.cli", "explain", "why-not", "g01",
+             str(path), "--semantics", semantics],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs[semantics] = done.stdout
+    assert len(outputs["grounded"].splitlines()) == 24
+    assert set(outputs.values()) == {outputs["grounded"]}
 
 
 def test_deep_sub_argument_chain_validates(run, tmp_path):

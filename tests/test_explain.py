@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import cleaner_general_af, random_goal_af
+from conftest import cleaner_general_af, random_general_af, random_goal_af
 from goalarg import (
     Belief,
     BeliefKind,
@@ -18,20 +18,24 @@ from goalarg import (
     build_explanation_model,
     build_xaf,
     complete_explanation,
+    complete_extensions,
     construct_arguments,
     defeats,
     derive_goal_af,
     extensions_of,
     grounded_extension,
     kinds_from_letters,
+    preferred_extensions,
     rebuts,
+    require_valid,
     select,
+    stable_extensions,
     trigger_rules,
     why,
     why_not,
 )
 from goalarg.explain import SCHEMAS
-from oracles import derives
+from oracles import derives, negation
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +132,7 @@ def assert_supports_minimal(arguments):
     deriving it when any one element is removed."""
     for arg in arguments:
         assert derives(arg.support, arg.claim)
-        assert not derives(arg.support, arg.claim.negation())
+        assert not derives(arg.support, negation(arg.claim))
         for element in arg.support:
             assert not derives(arg.support - {element}, arg.claim)
 
@@ -334,3 +338,31 @@ def test_defeat_edges_connect_rebutting_pairs_only():
             by_id = {a.id: a for a in xaf.arguments}
             for (src, dst) in xaf.defeats:
                 assert rebuts(by_id[src], by_id[dst])
+
+
+AF_CORE_SEMANTICS = {
+    Semantics.GROUNDED: lambda af: [grounded_extension(af)],
+    Semantics.COMPLETE: complete_extensions,
+    Semantics.PREFERRED: preferred_extensions,
+    Semantics.STABLE: stable_extensions,
+}
+
+
+def test_pipeline_extensions_match_af_core_under_every_semantics():
+    # Every pipeline framework holds one decisive argument, so extensions_of
+    # reads its extension off in closed form; af_core's generic evaluation
+    # of the same framework is the reference.
+    rng = random.Random(37)
+    raws = [random_goal_af(rng, max_goals=8) for _ in range(40)]
+    raws += [derive_goal_af(require_valid(random_general_af(rng))) for _ in range(40)]
+    for raw in raws:
+        filtered = apply_successful_attacks(raw)
+        model = build_explanation_model(filtered, select(filtered))
+        for xaf in model.xafs.values():
+            assert sum(a.decisive for a in xaf.arguments) == 1
+            af = xaf.to_abstract()
+            for semantics, evaluate in AF_CORE_SEMANTICS.items():
+                got = extensions_of(xaf, semantics)
+                assert [frozenset(a.id for a in ext) for ext in got] == evaluate(af)
+                for ext in got:
+                    assert [a.index for a in ext] == sorted(a.index for a in ext)

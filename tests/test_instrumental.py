@@ -19,6 +19,7 @@ from goalarg import (
     require_valid,
     validate,
 )
+from oracles import attacks_with_kind
 
 
 def test_cleaner_world_fixture_is_valid():
@@ -114,7 +115,7 @@ def test_kind_relations_recover_the_attack_keys():
     gaf = cleaner_general_af()
     reunited = set()
     for kind in IncompatibilityKind:
-        reunited |= gaf.attacks_with_kind(kind)
+        reunited |= attacks_with_kind(gaf, kind)
     assert reunited == set(gaf.attacks)
 
 

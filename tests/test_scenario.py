@@ -129,15 +129,38 @@ def test_schema_violations_carry_locations(mutate, location):
     assert err.value.location == location
 
 
-@pytest.mark.parametrize("raw", ["1e999999", "1e-5000"])
+@pytest.mark.parametrize("raw", ["1e999999", "1e-5000", "1e-9999999", "2.5E+1_000_000_000"])
 def test_unprintable_preferences_are_rejected(raw):
     # 1e999999 is out of range and 1e-5000 in range, but neither value can
     # be converted to text under the interpreter's int-to-str digit limit.
+    # The exponent alone rejects them, before 10**exp is ever built.
     doc = load_doc()
     doc["goals"][0]["preference"] = raw
     with pytest.raises(ScenarioError, match="digits") as err:
         parse_scenario(doc)
     assert err.value.location == "goals[0].preference"
+
+
+def test_unprintable_utility_sums_are_rejected():
+    # Each preference prints, but g1 + g5 (both selected) would have a
+    # denominator of about 7,200 digits.
+    doc = load_doc()
+    doc["goals"][0]["preference"] = f"1/{3**8000}"
+    doc["goals"][4]["preference"] = f"1/{7**4000}"
+    with pytest.raises(ScenarioError, match="sum to more digits") as err:
+        parse_scenario(doc)
+    assert err.value.location == "goals"
+
+
+@pytest.mark.parametrize("literal", ["1" * 5000, "0." + "1" * 5000, "1e-9999999"])
+def test_unreadable_number_literals_are_rejected(tmp_path, literal):
+    doc = load_doc()
+    doc["goals"][0]["preference"] = "LITERAL"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc).replace('"LITERAL"', literal), encoding="utf-8")
+    with pytest.raises(ScenarioError, match="more digits than can be read") as err:
+        load_scenario(path)
+    assert err.value.location == str(path)
 
 
 def test_duplicate_attack_pair_with_identical_kinds_is_tolerated(tmp_path):
