@@ -56,7 +56,6 @@ from .instrumental import (
     IncompatibilityKind,
     InstrumentalArgDecl,
     ValidationIssue,
-    args_for_goal,
     format_kinds,
     kinds_from_letters,
     require_valid,

@@ -140,24 +140,21 @@ def trigger_rules(beliefs: Iterable[Belief]) -> tuple[RuleInstance, ...]:
     Each satisfying substitution yields exactly one instance; numbering is
     by schema order, then by the sorted substitution, so runs are stable.
     """
-    pool = tuple(beliefs)
-    by_shape: dict[tuple[BeliefKind, tuple[str, ...]], Belief] = {
-        (b.kind, b.goals): b for b in pool
-    }
+    by_kind: dict[BeliefKind, dict[tuple[str, ...], Belief]] = {}
+    for b in beliefs:
+        by_kind.setdefault(b.kind, {})[b.goals] = b
 
     instances: list[RuleInstance] = []
     for schema in SCHEMAS:
         matches: dict[tuple[str, str], tuple] = {}
-        first = schema.body[0]
-        for belief in pool:
-            if belief.kind is not first.kind:
-                continue
+        first, *rest = schema.body
+        tables = [(atom, by_kind.get(atom.kind, {})) for atom in rest]
+        for belief in by_kind.get(first.kind, {}).values():
             subst = dict(zip(first.vars, belief.goals))
             labels = belief.labels if first.binds_labels else None
             body = [belief]
-            for atom in schema.body[1:]:
-                ground = tuple(subst[v] for v in atom.vars)
-                hit = by_shape.get((atom.kind, ground))
+            for atom, table in tables:
+                hit = table.get(tuple(subst[v] for v in atom.vars))
                 if hit is None:
                     break
                 if atom.binds_labels:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InputError
-from .instrumental import GeneralAF, IncompatibilityKind, args_for_goal
+from .instrumental import GeneralAF, IncompatibilityKind
 
 
 class Stage(Enum):
@@ -51,31 +51,32 @@ def derive_goal_af(gaf: GeneralAF) -> GoalAF:
 
     A goal with no plans participates in no attacks: the all-plan-pairs
     condition is only applied between goals that both have at least one
-    instrumental argument.
+    instrumental argument.  Plans claiming an undeclared goal are ignored.
+    A plan pair conflicts when an attack in either direction carries a
+    label, as every attack of a valid framework does.
     """
     goal_ids = tuple(sorted(g.id for g in gaf.goals))
-    plans = {g: args_for_goal(gaf, g) for g in goal_ids}
+    plans: dict[str, list[str]] = {g: [] for g in goal_ids}
+    for arg in gaf.args:
+        if arg.claim in plans:
+            plans[arg.claim].append(arg.id)
 
+    none: frozenset[IncompatibilityKind] = frozenset()
     attacks: set[tuple[str, str]] = set()
     incomp: dict[tuple[str, str], frozenset[IncompatibilityKind]] = {}
     for g, h in combinations(goal_ids, 2):
         if not plans[g] or not plans[h]:
             continue
-        if not all(
-            (a, b) in gaf.attacks or (b, a) in gaf.attacks
+        pair_kinds = [
+            gaf.attacks.get((a, b), none) | gaf.attacks.get((b, a), none)
             for a in plans[g]
             for b in plans[h]
-        ):
+        ]
+        if not all(pair_kinds):
             continue
-        labels: set[IncompatibilityKind] = set()
-        for a in plans[g]:
-            for b in plans[h]:
-                labels |= gaf.attacks.get((a, b), frozenset())
-                labels |= gaf.attacks.get((b, a), frozenset())
         attacks.add((g, h))
         attacks.add((h, g))
-        incomp[(g, h)] = frozenset(labels)
-        incomp[(h, g)] = frozenset(labels)
+        incomp[(g, h)] = incomp[(h, g)] = none.union(*pair_kinds)
 
     pref = {g.id: g.preference for g in gaf.goals}
     return GoalAF(goal_ids, frozenset(attacks), incomp, pref, Stage.RAW)

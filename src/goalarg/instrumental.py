@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import InputError, ValidationError
+from .errors import ValidationError
 
 
 class IncompatibilityKind(Enum):
@@ -71,9 +71,6 @@ class GeneralAF:
     goals: tuple[GoalDecl, ...]
     args: tuple[InstrumentalArgDecl, ...]
     attacks: Mapping[tuple[str, str], frozenset[IncompatibilityKind]]
-
-    def goal_map(self) -> dict[str, GoalDecl]:
-        return {g.id: g for g in self.goals}
 
 
 @dataclass(frozen=True)
@@ -192,10 +189,3 @@ def require_valid(gaf: GeneralAF) -> GeneralAF:
     if errors:
         raise ValidationError(errors)
     return gaf
-
-
-def args_for_goal(gaf: GeneralAF, goal_id: str) -> frozenset[str]:
-    """All instrumental arguments whose claim is the given goal (its plans)."""
-    if goal_id not in gaf.goal_map():
-        raise InputError(f"unknown goal {goal_id!r}")
-    return frozenset(a.id for a in gaf.args if a.claim == goal_id)

@@ -2,9 +2,12 @@
 
 A scenario is one JSON document: goals with preferences, then either the
 instrumental level (`arguments` + labeled `attacks`) or a directly stated
-goal-level conflict relation (`goal_attacks`).  Preferences are parsed as
-exact fractions ("0.8" means 4/5, never a float), so selection and all
-golden outputs are exact.
+goal-level conflict relation (`goal_attacks`).  The latter is shorthand for
+one plan per goal: it loads as a plan level whose plan ids are the goal
+ids, with each declared conflict in both directions, so both kinds of
+document take the same route through the pipeline.  Preferences are
+parsed as exact fractions ("0.8" means 4/5, never a float), so selection
+and all golden outputs are exact.
 
 `run_pipeline` is a deterministic function of the document: derive, filter,
 select, generate beliefs, build the explanation model, and evaluate every
@@ -36,7 +39,7 @@ from .explain import (
     build_explanation_model,
     extensions_of,
 )
-from .goal_graph import GoalAF, Stage, apply_successful_attacks, derive_goal_af
+from .goal_graph import GoalAF, apply_successful_attacks, derive_goal_af
 from .instrumental import (
     GeneralAF,
     GoalDecl,
@@ -61,12 +64,11 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A loaded document: goal declarations plus one of the two conflict
-    levels, ready for the pipeline."""
+    """A loaded document: goal declarations plus its plan level, ready for
+    the pipeline."""
 
     goals: tuple[GoalDecl, ...]
-    general: GeneralAF | None
-    goal_af_raw: GoalAF | None
+    general: GeneralAF
     main_goals: frozenset[str]
     config: RunConfig
 
@@ -77,6 +79,15 @@ class Scenario:
 def _expect(condition: bool, message: str, location: str) -> None:
     if not condition:
         raise ScenarioError(message, location)
+
+
+# JSON can spell a lone surrogate ("\ud800"), which UTF-8 cannot encode.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _expect_encodable(text: str, location: str) -> None:
+    if not text.isascii() and _SURROGATE.search(text):
+        raise ScenarioError("holds a lone surrogate, which cannot be printed", location)
 
 
 # The interpreter converts at most this many digits between int and str;
@@ -134,6 +145,7 @@ def _parse_goals(doc: Mapping[str, Any]) -> tuple[GoalDecl, ...]:
             _expect(key in entry, f"missing key '{key}'", loc)
         gid, predicate = entry["id"], entry["predicate"]
         _expect(isinstance(gid, str) and gid, "'id' must be a nonempty string", f"{loc}.id")
+        _expect_encodable(gid, f"{loc}.id")
         _expect(gid not in seen, f"duplicate goal id {gid!r}", f"{loc}.id")
         seen.add(gid)
         _expect(
@@ -141,6 +153,7 @@ def _parse_goals(doc: Mapping[str, Any]) -> tuple[GoalDecl, ...]:
             "'predicate' must be a nonempty string",
             f"{loc}.predicate",
         )
+        _expect_encodable(predicate, f"{loc}.predicate")
         out.append(GoalDecl(gid, predicate, _parse_preference(entry["preference"], f"{loc}.preference")))
     # A utility sums at most len(out) preferences, so its denominator divides
     # their LCM, its numerator is at most len(out) times that, and its decimal
@@ -172,6 +185,8 @@ def _parse_attack_entries(
             _expect(field_name in entry, f"missing key '{field_name}'", loc)
         source, target = entry["from"], entry["to"]
         _expect(isinstance(source, str) and isinstance(target, str), "'from'/'to' must be strings", loc)
+        _expect_encodable(source, loc)
+        _expect_encodable(target, loc)
         pair = (source, target)
         kinds = _parse_kinds(entry["kinds"], f"{loc}.kinds")
         if pair in attacks and attacks[pair] != kinds:
@@ -194,6 +209,7 @@ def _parse_arguments(doc: Mapping[str, Any]) -> tuple[InstrumentalArgDecl, ...]:
             "'id' and 'claim' must be strings",
             loc,
         )
+        _expect_encodable(entry["id"], loc)
         sub = entry.get("sub_args", [])
         _expect(isinstance(sub, list), "'sub_args' must be a list", f"{loc}.sub_args")
         for j, sub_id in enumerate(sub):
@@ -202,14 +218,16 @@ def _parse_arguments(doc: Mapping[str, Any]) -> tuple[InstrumentalArgDecl, ...]:
     return tuple(out)
 
 
-def _direct_goal_af(
+def _one_plan_per_goal(
     goals: tuple[GoalDecl, ...],
     entries: dict[tuple[str, str], frozenset[IncompatibilityKind]],
-) -> GoalAF:
+) -> GeneralAF:
+    """The plan level a goal-level document stands for: each goal is its
+    own single plan, and each declared conflict holds in both directions."""
     goal_ids = {g.id for g in goals}
-    attacks: set[tuple[str, str]] = set()
-    incomp: dict[tuple[str, str], frozenset[IncompatibilityKind]] = {}
-    for (a, b), kinds in sorted(entries.items()):
+    attacks: dict[tuple[str, str], frozenset[IncompatibilityKind]] = {}
+    for a, b in sorted(entries):
+        kinds = entries[(a, b)]
         loc = f"goal_attacks[({a}, {b})]"
         _expect(a in goal_ids, f"unknown goal {a!r}", loc)
         _expect(b in goal_ids, f"unknown goal {b!r}", loc)
@@ -219,11 +237,9 @@ def _direct_goal_af(
             raise ScenarioError(
                 f"kinds for ({a}, {b}) disagree with the reverse direction", loc
             )
-        for pair in ((a, b), (b, a)):
-            attacks.add(pair)
-            incomp[pair] = kinds
-    pref = {g.id: g.preference for g in goals}
-    return GoalAF(tuple(sorted(goal_ids)), frozenset(attacks), incomp, pref, Stage.RAW)
+        attacks[(a, b)] = attacks[(b, a)] = kinds
+    plans = tuple(InstrumentalArgDecl(g.id, g.id) for g in goals)
+    return GeneralAF(goals, plans, attacks)
 
 
 def _parse_config(doc: Mapping[str, Any]) -> RunConfig:
@@ -267,15 +283,14 @@ def parse_scenario(doc: Any) -> Scenario:
         "$",
     )
 
-    general: GeneralAF | None = None
-    direct: GoalAF | None = None
     if has_general:
         _expect("arguments" in doc, "'attacks' requires 'arguments'", "$")
         args = _parse_arguments(doc)
         general = GeneralAF(goals, args, _parse_attack_entries(doc["attacks"], "attacks"))
     else:
         _expect("arguments" not in doc, "'arguments' only makes sense with 'attacks'", "$")
-        direct = _direct_goal_af(goals, _parse_attack_entries(doc["goal_attacks"], "goal_attacks"))
+        entries = _parse_attack_entries(doc["goal_attacks"], "goal_attacks")
+        general = _one_plan_per_goal(goals, entries)
 
     main_raw = doc.get("main_goals")
     if main_raw is None:
@@ -291,15 +306,11 @@ def parse_scenario(doc: Any) -> Scenario:
     unknown = sorted(set(doc) - known)
     _expect(not unknown, f"unknown keys: {', '.join(unknown)}", "$")
 
-    return Scenario(goals, general, direct, main, _parse_config(doc))
+    return Scenario(goals, general, main, _parse_config(doc))
 
 
-def _default_main_goals(
-    goals: tuple[GoalDecl, ...], general: GeneralAF | None
-) -> frozenset[str]:
+def _default_main_goals(goals: tuple[GoalDecl, ...], general: GeneralAF) -> frozenset[str]:
     """A goal is main unless one of its plans appears as a sub-argument."""
-    if general is None:
-        return frozenset(g.id for g in goals)
     arg_claims = {a.id: a.claim for a in general.args}
     sub_claims = {
         arg_claims[sub]
@@ -324,15 +335,15 @@ def load_scenario(path: str | Path) -> Scenario:
         ) from exc
     except (ValueError, OverflowError):  # a number literal too long to read
         raise ScenarioError("a number has more digits than can be read", str(path)) from None
+    except RecursionError:
+        raise ScenarioError("document is nested too deeply", str(path)) from None
     return parse_scenario(doc)
 
 
 def validate_scenario(scenario: Scenario) -> list[ValidationIssue]:
-    """Framework-level validation; direct-path scenarios were fully checked
-    at load time."""
-    if scenario.general is not None:
-        return validate(scenario.general)
-    return []
+    """Framework-level validation of the scenario's plan level; the one
+    plan per goal of a goal-level document always passes."""
+    return validate(scenario.general)
 
 
 @dataclass(frozen=True)
@@ -362,11 +373,7 @@ def run_pipeline(
         semantics or scenario.config.semantics,
         scenario.config.tie_break,
     )
-    if scenario.general is not None:
-        raw = derive_goal_af(require_valid(scenario.general))
-    else:
-        assert scenario.goal_af_raw is not None
-        raw = scenario.goal_af_raw
+    raw = derive_goal_af(require_valid(scenario.general))
     gaf_sc = apply_successful_attacks(raw)
     selection = select(gaf_sc, config.utility, scenario.main_goals)
     model = build_explanation_model(gaf_sc, selection)
@@ -436,8 +443,9 @@ def argument_to_dict(arg: ExplanatoryArgument) -> dict[str, Any]:
 
 
 def report_to_dict(report: RunReport) -> dict[str, Any]:
-    """A JSON-ready view of the report.  Timing is left out on purpose:
-    identical scenarios must serialize to identical bytes."""
+    """A JSON-ready view of the report.  Timing is left out on purpose, and
+    goals are listed by id: identical scenarios must serialize to identical
+    bytes, however their documents order them."""
     selection = report.selection
     xaf_section: dict[str, Any] = {}
     for g in report.gaf_sc.goals:
@@ -462,7 +470,7 @@ def report_to_dict(report: RunReport) -> dict[str, Any]:
                 "preference": format_rational(g.preference),
                 "main": g.id in report.main_goals,
             }
-            for g in report.goals
+            for g in sorted(report.goals, key=lambda g: g.id)
         ],
         "goal_af": {
             "raw_attacks": _attack_dicts(report.goal_af_raw),

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, combinations
 
-from goalarg import Claim, RuleInstance
+from goalarg import Claim, InputError, RuleInstance
 
 
 def powerset(nodes):
@@ -128,6 +128,13 @@ def derives(support, claim):
 
 def negation(claim):
     return Claim(claim.goal, not claim.pursued)
+
+
+def args_for_goal(gaf, goal_id):
+    """All instrumental arguments whose claim is the given goal (its plans)."""
+    if goal_id not in {g.id for g in gaf.goals}:
+        raise InputError(f"unknown goal {goal_id!r}")
+    return frozenset(a.id for a in gaf.args if a.claim == goal_id)
 
 
 def attacks_with_kind(gaf, kind):

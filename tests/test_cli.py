@@ -203,6 +203,40 @@ def test_report_reparses(run):
     assert payload["explanatory_frameworks"]["g2"]["extensions"] == [["A8", "A13"]]
 
 
+def reverse_lists(value):
+    """The document with every list in it reversed, at every depth."""
+    if isinstance(value, list):
+        return [reverse_lists(v) for v in reversed(value)]
+    if isinstance(value, dict):
+        return {k: reverse_lists(v) for k, v in value.items()}
+    return value
+
+
+GOAL_LEVEL_DOC = {
+    "goals": [
+        {"id": "a", "predicate": "alpha()", "preference": 0.9},
+        {"id": "b", "predicate": "beta()", "preference": 0.4},
+        {"id": "c", "predicate": "gamma()", "preference": 0.4},
+        {"id": "d", "predicate": "delta()", "preference": "1/3"},
+    ],
+    "goal_attacks": [
+        {"from": "a", "to": "b", "kinds": ["r", "t"]},
+        {"from": "b", "to": "c", "kinds": ["s"]},
+        {"from": "c", "to": "b", "kinds": ["s"]},
+        {"from": "d", "to": "c", "kinds": ["t"]},
+    ],
+}
+
+
+@pytest.mark.parametrize("doc", [json.loads(CLEANER_WORLD.read_text()), GOAL_LEVEL_DOC],
+                         ids=["cleaner-world", "goal-level"])
+def test_reordering_a_document_keeps_the_report_bytes(run, tmp_path, doc):
+    code, expected, _ = run("report", write_scenario(tmp_path, doc))
+    assert code == 0
+    code, out, _ = run("report", write_scenario(tmp_path, reverse_lists(doc)))
+    assert (code, out) == (0, expected)
+
+
 def test_export_goal_stages(run):
     code, raw, _ = run("export", CLEANER_WORLD, "--dot", "goals-raw")
     assert code == 0
@@ -244,11 +278,14 @@ def test_direct_goal_attack_path(run, tmp_path):
     ]
 
 
-def test_direct_path_forbids_general_export(run, tmp_path):
-    path = write_scenario(tmp_path, DIRECT_DOC)
-    code, _out, err = run("export", path, "--dot", "general")
-    assert code == 1
-    assert "instrumental" in err
+def test_export_general_on_goal_level_document(run, tmp_path):
+    # A goal-level document is one plan per goal, each conflict both ways.
+    doc = dict(DIRECT_DOC, goal_attacks=DIRECT_DOC["goal_attacks"][:1])
+    code, out, err = run("export", write_scenario(tmp_path, doc), "--dot", "general")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "digraph {", '  "a";', '  "b";', '  "a" -> "b";', '  "b" -> "a";', "}",
+    ]
 
 
 def test_malformed_json_has_location(run, tmp_path):
@@ -329,7 +366,23 @@ def tiny_selected_preferences(doc):
     doc["goals"][4]["preference"] = f"1/{7**4000}"
 
 
-@pytest.mark.parametrize("command", ["validate", "select", "report"])
+def lone_surrogate_goal(doc):
+    """A goal id JSON can spell but no UTF-8 output can hold; the goal has
+    no plans, so it would be pursued and printed."""
+    doc["goals"].append({"id": "\ud800", "predicate": "idle()", "preference": 0.5})
+
+
+def lone_surrogate_attack(doc):
+    """An attack on an unknown plan whose id no UTF-8 output can hold;
+    `validate` would print its missing reverse as a warning on stdout."""
+    doc["attacks"].append({"from": "A", "to": "\ud800", "kinds": ["t"]})
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["validate"], ["select"], ["report"], ["export", "--dot", "goals"]],
+    ids=["validate", "select", "report", "export-goals"],
+)
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -343,17 +396,21 @@ def tiny_selected_preferences(doc):
         tiny_selected_preferences,
         lambda d: d["goals"][0].update(preference="1e-9999999"),
         lambda d: with_literal(d, "1e-9999999"),
+        lambda d: "[" * 100_000 + "]" * 100_000,
+        lone_surrogate_goal,
+        lone_surrogate_attack,
     ],
     ids=["main-goal-list", "sub-arg-list", "pref-1e999999", "pref-1e-5000",
          "deep-chain", "deep-cycle", "pref-5000-digit-int", "pref-sum-7200-digits",
-         "pref-1e-9999999", "pref-literal-1e-9999999"],
+         "pref-1e-9999999", "pref-literal-1e-9999999", "nested-100000-deep",
+         "lone-surrogate-id", "lone-surrogate-attack"],
 )
 def test_hostile_inputs_end_in_an_exit_code(run, tmp_path, command, mutate):
     doc = cleaner_doc()
     text = mutate(doc)  # a mutation returns the text when JSON cannot hold it
     path = tmp_path / "scenario.json"
     path.write_text(text or json.dumps(doc), encoding="utf-8")
-    code, _out, err = run(command, path)
+    code, _out, err = run(*command, path)
     assert code in (0, 1)
     assert sum(line.startswith("error:") for line in err.splitlines()) <= 1
 

@@ -13,13 +13,12 @@ from goalarg import (
     InstrumentalArgDecl,
     ValidationError,
     ValidationIssue,
-    args_for_goal,
     format_kinds,
     kinds_from_letters,
     require_valid,
     validate,
 )
-from oracles import attacks_with_kind
+from oracles import args_for_goal, attacks_with_kind
 
 
 def test_cleaner_world_fixture_is_valid():

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import CLEANER_WORLD
 from goalarg import (
+    IncompatibilityKind,
     ScenarioError,
     Semantics,
     Stage,
@@ -16,6 +18,9 @@ from goalarg import (
     run_pipeline,
     validate_scenario,
 )
+
+
+T = IncompatibilityKind.TERMINAL
 
 
 def load_doc():
@@ -78,10 +83,46 @@ def test_direct_goal_attacks_are_mirrored(tmp_path):
         "goal_attacks": [{"from": "a", "to": "b", "kinds": ["t"]}],
     }
     scenario = load_scenario(write(tmp_path, doc))
-    raw = scenario.goal_af_raw
-    assert raw is not None and raw.stage is Stage.RAW
+    assert scenario.general.attacks == {("a", "b"): {T}, ("b", "a"): {T}}
+    raw = run_pipeline(scenario).goal_af_raw
+    assert raw.stage is Stage.RAW
     assert raw.attacks == {("a", "b"), ("b", "a")}
-    assert raw.incomp[("a", "b")] == raw.incomp[("b", "a")]
+    assert raw.incomp[("a", "b")] == raw.incomp[("b", "a")] == {T}
+
+
+def random_goal_level_doc(rng):
+    """Goals with random preferences and random conflicts, each declared
+    in one direction or in both."""
+    goals = [
+        {"id": f"g{i}", "predicate": f"p{i}()", "preference": f"{rng.randint(1, 8)}/8"}
+        for i in range(rng.randint(1, 7))
+    ]
+    entries = []
+    for i, a in enumerate(goals):
+        for b in goals[i + 1:]:
+            if rng.random() < 0.5:
+                kinds = rng.sample("trs", rng.randint(1, 3))
+                pair = [a["id"], b["id"]]
+                for source, target in rng.choice([[pair], [pair[::-1]], [pair, pair[::-1]]]):
+                    entries.append({"from": source, "to": target, "kinds": kinds})
+    rng.shuffle(entries)
+    return {"goals": goals, "goal_attacks": entries}
+
+
+def test_goal_level_documents_derive_their_declared_conflicts():
+    rng = random.Random(7)
+    for _ in range(60):
+        doc = random_goal_level_doc(rng)
+        scenario = parse_scenario(doc)
+        assert validate_scenario(scenario) == []
+        raw = run_pipeline(scenario).goal_af_raw
+        declared = {}
+        for e in doc["goal_attacks"]:
+            kinds = {IncompatibilityKind(k) for k in e["kinds"]}
+            declared[(e["from"], e["to"])] = declared[(e["to"], e["from"])] = kinds
+        assert raw.attacks == set(declared)
+        assert raw.incomp == declared
+        assert raw.pref == {g["id"]: Fraction(g["preference"]) for g in doc["goals"]}
 
 
 def test_direct_goal_attacks_reject_inconsistent_reverse(tmp_path):
@@ -159,6 +200,31 @@ def test_unreadable_number_literals_are_rejected(tmp_path, literal):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc).replace('"LITERAL"', literal), encoding="utf-8")
     with pytest.raises(ScenarioError, match="more digits than can be read") as err:
+        load_scenario(path)
+    assert err.value.location == str(path)
+
+
+@pytest.mark.parametrize(
+    "mutate, location",
+    [
+        (lambda d: d["goals"][0].update(id="g\ud800"), "goals[0].id"),
+        (lambda d: d["goals"][2].update(predicate="\udfff()"), "goals[2].predicate"),
+        (lambda d: d["arguments"][1].update(id="\ud800"), "arguments[1]"),
+        (lambda d: d["attacks"][3].update(to="\ud800"), "attacks[3]"),
+    ],
+)
+def test_lone_surrogates_are_rejected(mutate, location):
+    doc = load_doc()
+    mutate(doc)
+    with pytest.raises(ScenarioError, match="lone surrogate") as err:
+        parse_scenario(doc)
+    assert err.value.location == location
+
+
+def test_deeply_nested_documents_are_rejected(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    with pytest.raises(ScenarioError, match="nested too deeply") as err:
         load_scenario(path)
     assert err.value.location == str(path)
 
