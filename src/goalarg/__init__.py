@@ -82,8 +82,6 @@ from .selection import (
     SelectionResult,
     UtilityVariant,
     select,
-    utility_sum_all,
-    utility_sum_main,
 )
 
 __version__ = "0.1.0"

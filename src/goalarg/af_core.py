@@ -2,22 +2,22 @@
 
 A framework is a directed attack graph over opaque node identifiers.  The
 semantics here (conflict-free, admissible, complete, grounded, preferred,
-stable) are the classical extension-based ones; they are shared by the
-goal-selection stage (which only needs conflict-free enumeration) and the
-explanation stage (which evaluates per-goal frameworks, grounded by
-default).
+stable) are the classical extension-based ones.  Goal selection uses the
+weighted conflict-free walk; hand-built explanatory frameworks use the
+rest (grounded by default).
 
 Everything is a pure function over immutable values.  Each framework
 indexes its attackers once, on first use, and every semantics reads that
-index instead of rescanning the attack set.  Enumeration is exhaustive
-with conflict pruning over the sorted node order, which is fine at
-deliberation scale (a few dozen nodes); results come back in a fixed
-lexicographic order so golden tests are stable.
+index instead of rescanning the attack set.  Conflict-free sets come from
+one bitmask walk over the sorted node order with integer scores; it is
+exhaustive, which is fine at deliberation scale (a few dozen nodes), and
+results come back in a fixed lexicographic order so golden tests are
+stable.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,38 +62,58 @@ class AbstractAF:
         return attackers
 
 
-def _neighbour_map(af: AbstractAF) -> dict[str, set[str]]:
-    """Undirected conflict adjacency: who is in conflict with whom."""
-    adj: dict[str, set[str]] = {n: set() for n in af.nodes}
+def max_weight_conflict_free(
+    af: AbstractAF, weights: Mapping[str, int]
+) -> tuple[int, int, list[frozenset[str]]]:
+    """Count the conflict-free sets and find those of greatest total weight.
+
+    One pre-order walk over the sorted node order visits every subset with
+    no internal attack in either direction, the empty set first.  The
+    current set and the nodes still free to join it are integer bitmasks,
+    and each set's integer score is its parent's plus one weight, so a set
+    costs one add and one compare.  Returns (number of sets, best score,
+    the sets scoring it); only those are built as frozensets, in the
+    walk's lexicographic order.
+    """
+    order = af.nodes
+    index = {node: i for i, node in enumerate(order)}
+    clash = [1 << i for i in range(len(order))]
     for attacker, target in af.attacks:
-        adj[attacker].add(target)
-        adj[target].add(attacker)
-    return adj
+        i, j = index[attacker], index[target]
+        clash[i] |= 1 << j
+        clash[j] |= 1 << i
+    # Per node bit: the mask of nodes that stay free once it joins, and its weight.
+    step = {1 << i: (~clash[i], weights[node]) for i, node in enumerate(order)}
+    count, best, maxima = 1, 0, [0]  # the empty set, scoring 0, comes first
+
+    # Recursion depth is the size of the current set; a walk deep enough
+    # to reach the interpreter's limit would visit over 2**900 sets first.
+    def extend(free: int, members: int, score: int) -> None:
+        nonlocal count, best, maxima
+        while free:
+            bit = free & -free
+            free ^= bit
+            keep, weight = step[bit]
+            child, child_score = members | bit, score + weight
+            count += 1
+            if child_score > best:
+                best, maxima = child_score, [child]
+            elif child_score == best:
+                maxima.append(child)
+            if free & keep:
+                extend(free & keep, child, child_score)
+
+    extend((1 << len(order)) - 1, 0, 0)
+    return count, best, [
+        frozenset(node for i, node in enumerate(order) if mask >> i & 1) for mask in maxima
+    ]
 
 
 def conflict_free_sets(af: AbstractAF) -> list[frozenset[str]]:
-    """All subsets with no internal attack in either direction.
-
-    The empty set is always included.  Enumerated by backtracking over the
-    sorted node order, pruning any node in conflict with the current set;
-    the pre-order walk already emits the sets in lexicographic order.
-    """
-    adj = _neighbour_map(af)
-    order = af.nodes
-    found: list[frozenset[str]] = []
-
-    def extend(start: int, current: list[str], blocked: set[str]) -> None:
-        found.append(frozenset(current))
-        for i in range(start, len(order)):
-            node = order[i]
-            if node in blocked:
-                continue
-            current.append(node)
-            extend(i + 1, current, blocked | adj[node])
-            current.pop()
-
-    extend(0, [], set())
-    return found
+    """All subsets with no internal attack in either direction, the empty
+    set included, in lexicographic order: the weighted walk with every
+    weight 0, where every set ties for best."""
+    return max_weight_conflict_free(af, dict.fromkeys(af.nodes, 0))[2]
 
 
 def defends(af: AbstractAF, s: Iterable[str], a: str) -> bool:

@@ -253,12 +253,22 @@ class ExplanatoryAF:
 
 
 def build_xaf(goal: str, arguments: Iterable[ExplanatoryArgument]) -> ExplanatoryAF:
-    """Collect the goal's arguments and the defeat edges among them."""
+    """Collect the goal's arguments and the defeat edges among them.
+
+    Only a pro and a con argument rebut, so the `defeats` rule is applied
+    to the pairs across the two sides, in both directions.
+    """
     mine = tuple(a for a in arguments if a.claim.goal == goal)
-    edges = frozenset(
-        (a.id, b.id) for a in mine for b in mine if defeats(a, b)
-    )
-    return ExplanatoryAF(goal, mine, edges)
+    pro = [a for a in mine if a.claim.pursued]
+    con = [a for a in mine if not a.claim.pursued]
+    edges = set()
+    for a in pro:
+        for b in con:
+            if a.decisive or not b.decisive:
+                edges.add((a.id, b.id))
+            if b.decisive or not a.decisive:
+                edges.add((b.id, a.id))
+    return ExplanatoryAF(goal, mine, frozenset(edges))
 
 
 class Semantics(Enum):
@@ -337,7 +347,10 @@ def build_explanation_model(gaf_sc: GoalAF, selection: SelectionResult) -> Expla
     beliefs = generate_beliefs(gaf_sc, selection)
     instances = trigger_rules(beliefs)
     arguments = construct_arguments(beliefs, instances)
-    xafs = {g: build_xaf(g, arguments) for g in gaf_sc.goals}
+    by_goal: dict[str, list[ExplanatoryArgument]] = {g: [] for g in gaf_sc.goals}
+    for a in arguments:
+        by_goal[a.claim.goal].append(a)
+    xafs = {g: build_xaf(g, mine) for g, mine in by_goal.items()}
     return ExplanationModel(gaf_sc, selection, beliefs, instances, arguments, xafs)
 
 

@@ -164,13 +164,20 @@ def _parse_goals(doc: Mapping[str, Any]) -> tuple[GoalDecl, ...]:
     return tuple(out)
 
 
+# Every label set a document can spell, keyed by its letters, so that
+# attack entries share seven sets instead of building one each.
+_LABEL_SETS = {
+    frozenset(letters): kinds_from_letters(letters)
+    for letters in ("t", "r", "s", "tr", "ts", "rs", "trs")
+}
+
+
 def _parse_kinds(raw: Any, location: str) -> frozenset[IncompatibilityKind]:
     _expect(isinstance(raw, list) and raw, "'kinds' must be a nonempty list", location)
-    letters = set()
     for letter in raw:
-        _expect(letter in ("t", "r", "s"), f"unknown incompatibility kind {letter!r}", location)
-        letters.add(letter)
-    return kinds_from_letters(letters)
+        if letter not in ("t", "r", "s"):
+            raise ScenarioError(f"unknown incompatibility kind {letter!r}", location)
+    return _LABEL_SETS[frozenset(raw)]
 
 
 def _parse_attack_entries(

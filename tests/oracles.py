@@ -117,6 +117,36 @@ def max_utility_brute(goals, conflicts, weights):
     return maxima, best, len(candidates)
 
 
+def utility_sum_all(extension, pref):
+    """Sum of the preference values of every goal in the extension."""
+    return sum((pref[g] for g in extension), start=Fraction(0))
+
+
+def utility_sum_main(extension, pref, main_goals):
+    """Sum of preferences over main goals only; sub-goals contribute nothing."""
+    return sum((pref[g] for g in extension if g in main_goals), start=Fraction(0))
+
+
+def select_brute(goals, conflicts, pref, main_goals=None):
+    """Selection from the definition: Fraction utilities over the power set.
+
+    Sums every goal's preference, or only the main goals' when `main_goals`
+    is given.  Returns (pursued, best utility, every maximum in the
+    lexicographic order of sorted ids, number of conflict-free sets).
+    """
+    if main_goals is None:
+        def score(s):
+            return utility_sum_all(s, pref)
+    else:
+        def score(s):
+            return utility_sum_main(s, pref, main_goals)
+    sym = set(conflicts) | {(b, a) for (a, b) in conflicts}
+    candidates = [s for s in powerset(goals) if is_conflict_free(s, sym)]
+    best = max(score(s) for s in candidates)
+    maxima = sorted((s for s in candidates if score(s) == best), key=lambda s: tuple(sorted(s)))
+    return maxima[0], best, tuple(maxima), len(candidates)
+
+
 def derives(support, claim):
     """True iff some rule instance in the support fires entirely inside it
     and concludes the claim."""

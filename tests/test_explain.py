@@ -338,6 +338,10 @@ def test_defeat_edges_connect_rebutting_pairs_only():
             by_id = {a.id: a for a in xaf.arguments}
             for (src, dst) in xaf.defeats:
                 assert rebuts(by_id[src], by_id[dst])
+            # and every defeat among the goal's arguments is an edge
+            assert xaf.defeats == {
+                (a.id, b.id) for a in xaf.arguments for b in xaf.arguments if defeats(a, b)
+            }
 
 
 AF_CORE_SEMANTICS = {

@@ -15,9 +15,8 @@ from goalarg import (
     apply_successful_attacks,
     derive_goal_af,
     select,
-    utility_sum_all,
-    utility_sum_main,
 )
+from oracles import utility_sum_all, utility_sum_main
 
 FIXTURE_PREF = {
     "g1": Fraction("0.8"),
@@ -171,3 +170,41 @@ def test_argmax_family_invariant_under_positive_scaling():
         assert set(select(filtered).all_max_extensions) == set(
             select(scaled).all_max_extensions
         )
+
+
+def random_filtered(rng, n):
+    """A filtered goal graph of n goals: preferences over mixed denominators
+    (so the integer scaling needs a real LCM), and each conflict kept in one
+    or both directions, as preference filtering leaves it."""
+    goals = tuple(f"g{i:02d}" for i in range(n))
+    pref = {}
+    for g in goals:
+        d = rng.choice([1, 2, 3, 7, 10, 20])
+        pref[g] = Fraction(rng.randint(1, d), d)
+    p = rng.choice([0.0, 0.15, 0.3, 0.6])
+    attacks = set()
+    for i, g in enumerate(goals):
+        for h in goals[i + 1:]:
+            if rng.random() < p:
+                attacks |= rng.choice([{(g, h)}, {(h, g)}, {(g, h), (h, g)}])
+    return direct_filtered(pref, attacks)
+
+
+def test_select_matches_power_set_oracle_under_both_utilities():
+    rng = random.Random(23)
+    for k in range(200):
+        filtered = random_filtered(rng, 0 if k == 0 else rng.randint(0, 12))
+        goals = filtered.goals
+        # zero, some and all goals main: zero-weight goals make ties
+        main = frozenset(rng.choice([(), goals, rng.sample(goals, len(goals) // 2)]))
+        for result, expected in (
+            (select(filtered), oracles.select_brute(goals, filtered.attacks, filtered.pref)),
+            (
+                select(filtered, UtilityVariant.SUM_MAIN, main),
+                oracles.select_brute(goals, filtered.attacks, filtered.pref, main),
+            ),
+        ):
+            assert type(result.winning_utility) is Fraction
+            got = (result.pursued, result.winning_utility, result.all_max_extensions,
+                   result.cf_count)
+            assert got == expected
