@@ -42,9 +42,7 @@ from .explain import (
     build_xaf,
     complete_explanation,
     construct_arguments,
-    defeats,
     extensions_of,
-    rebuts,
     trigger_rules,
     why,
     why_not,
@@ -76,7 +74,6 @@ from .scenario import (
     parse_scenario,
     report_to_dict,
     run_pipeline,
-    validate_scenario,
 )
 from .selection import (
     SelectionResult,

@@ -17,14 +17,16 @@ from typing import Any
 from .af_core import AbstractAF
 from .errors import GoalArgError, InputError
 from .explain import Explanation, ExplanationKind, Semantics, complete_explanation, why, why_not
+from .instrumental import validate
 from .render import export_dot, format_rational, render_partial_explanation
 from .scenario import (
+    Scenario,
     argument_to_dict,
     belief_to_dict,
     load_scenario,
     report_to_dict,
     run_pipeline,
-    validate_scenario,
+    selection_to_dict,
 )
 from .selection import UtilityVariant
 
@@ -37,9 +39,8 @@ def _dump(payload: Any) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
-    issues = validate_scenario(scenario)
+def _cmd_validate(scenario: Scenario, args: argparse.Namespace) -> int:
+    issues = validate(scenario.general)
     for issue in issues:
         stream = sys.stderr if issue.severity == "error" else sys.stdout
         print(str(issue), file=stream)
@@ -51,18 +52,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_select(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+def _cmd_select(scenario: Scenario, args: argparse.Namespace) -> int:
     report = run_pipeline(scenario, utility=_utility_flag(args))
     sel = report.selection
     if args.format == "json":
-        payload = {
-            "pursued": sorted(sel.pursued),
-            "utility": format_rational(sel.winning_utility),
-            "conflict_free_count": sel.cf_count,
-            "max_extensions": [sorted(s) for s in sel.all_max_extensions],
-        }
-        print(_dump(payload))
+        print(_dump(selection_to_dict(sel)))
         return 0
     print(f"pursued: {_goal_set(sel.pursued)}")
     print(f"utility: {format_rational(sel.winning_utility)}")
@@ -76,8 +70,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_beliefs(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+def _cmd_beliefs(scenario: Scenario, args: argparse.Namespace) -> int:
     report = run_pipeline(scenario)
     if args.format == "json":
         print(_dump([belief_to_dict(b) for b in report.model.beliefs]))
@@ -108,8 +101,7 @@ def _explanation_payload(
     return payload
 
 
-def _cmd_explain(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+def _cmd_explain(scenario: Scenario, args: argparse.Namespace) -> int:
     semantics = Semantics(args.semantics) if args.semantics else None
     report = run_pipeline(scenario, semantics=semantics)
     ask = why if args.direction == "why" else why_not
@@ -126,15 +118,13 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+def _cmd_report(scenario: Scenario, args: argparse.Namespace) -> int:
     report = run_pipeline(scenario, utility=_utility_flag(args))
     print(_dump(report_to_dict(report)))
     return 0
 
 
-def _cmd_export(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+def _cmd_export(scenario: Scenario, args: argparse.Namespace) -> int:
     report = run_pipeline(scenario)
     stage = args.dot
     if stage == "general":
@@ -213,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(load_scenario(args.scenario), args)
     except GoalArgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -225,21 +225,6 @@ def construct_arguments(
     return tuple(out)
 
 
-def rebuts(a: ExplanatoryArgument, b: ExplanatoryArgument) -> bool:
-    """Contradictory claims about the same goal (always mutual)."""
-    return a.claim.goal == b.claim.goal and a.claim.pursued != b.claim.pursued
-
-
-def defeats(a: ExplanatoryArgument, b: ExplanatoryArgument) -> bool:
-    """Directed sharpening of a rebuttal.
-
-    A max-utility argument defeats a non-decisive opponent one-way; between
-    two non-decisive (or two decisive) opponents the rebuttal stays mutual,
-    so both directions count as defeats.
-    """
-    return rebuts(a, b) and (a.decisive or not b.decisive)
-
-
 @dataclass(frozen=True)
 class ExplanatoryAF:
     """The per-goal framework: all arguments about one goal plus defeats."""
@@ -255,8 +240,10 @@ class ExplanatoryAF:
 def build_xaf(goal: str, arguments: Iterable[ExplanatoryArgument]) -> ExplanatoryAF:
     """Collect the goal's arguments and the defeat edges among them.
 
-    Only a pro and a con argument rebut, so the `defeats` rule is applied
-    to the pairs across the two sides, in both directions.
+    The defeat rule: a pro and a con argument about the goal rebut each
+    other, and each rebuttal is a defeat, except that a non-decisive
+    argument does not defeat a decisive one.  So a max-utility argument
+    defeats its opponents one way, and any other rebuttal stays mutual.
     """
     mine = tuple(a for a in arguments if a.claim.goal == goal)
     pro = [a for a in mine if a.claim.pursued]

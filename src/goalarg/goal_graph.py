@@ -41,10 +41,6 @@ class GoalAF:
     pref: Mapping[str, Fraction]
     stage: Stage
 
-    def conflict_pairs(self) -> frozenset[frozenset[str]]:
-        """The undirected conflicts underlying the attack relation."""
-        return frozenset(frozenset(pair) for pair in self.attacks)
-
 
 def derive_goal_af(gaf: GeneralAF) -> GoalAF:
     """Lift the instrumental framework to the goal level (raw stage).

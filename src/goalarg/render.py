@@ -91,8 +91,12 @@ def render_partial_explanation(
     ]
 
 
-def _dot_escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
+def _dot_quote(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _dot_label(label: str | None) -> str:
+    return "" if label is None else f" [label={_dot_quote(label)}]"
 
 
 def export_dot(
@@ -103,27 +107,18 @@ def export_dot(
     Goal graphs carry their conflict kinds as edge labels; explanatory
     frameworks label each node with its claim.
     """
-    lines = ["digraph {"]
     if isinstance(af, GoalAF):
-        for g in af.goals:
-            label = f"{g}: {names[g]}" if names and g in names else g
-            lines.append(f'  "{_dot_escape(g)}" [label="{_dot_escape(label)}"];')
-        for (a, b) in sorted(af.attacks):
-            kinds = format_kinds(af.incomp[(a, b)])
-            lines.append(
-                f'  "{_dot_escape(a)}" -> "{_dot_escape(b)}" [label="{_dot_escape(kinds)}"];'
-            )
+        nodes = [(g, f"{g}: {names[g]}" if names and g in names else g) for g in af.goals]
+        edges = [(a, b, format_kinds(af.incomp[(a, b)])) for (a, b) in sorted(af.attacks)]
     elif isinstance(af, ExplanatoryAF):
-        for arg in af.arguments:
-            label = f"{arg.id}: {arg.claim}"
-            lines.append(f'  "{_dot_escape(arg.id)}" [label="{_dot_escape(label)}"];')
-        for (a, b) in sorted(af.defeats):
-            lines.append(f'  "{_dot_escape(a)}" -> "{_dot_escape(b)}";')
+        nodes = [(arg.id, f"{arg.id}: {arg.claim}") for arg in af.arguments]
+        edges = [(a, b, None) for (a, b) in sorted(af.defeats)]
     else:
-        for node in af.nodes:
-            lines.append(f'  "{_dot_escape(node)}";')
-        for (a, b) in sorted(af.attacks):
-            lines.append(f'  "{_dot_escape(a)}" -> "{_dot_escape(b)}";')
+        nodes = [(node, None) for node in af.nodes]
+        edges = [(a, b, None) for (a, b) in sorted(af.attacks)]
+    lines = ["digraph {"]
+    lines += [f"  {_dot_quote(n)}{_dot_label(label)};" for n, label in nodes]
+    lines += [f"  {_dot_quote(a)} -> {_dot_quote(b)}{_dot_label(label)};" for a, b, label in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

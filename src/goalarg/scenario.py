@@ -45,11 +45,9 @@ from .instrumental import (
     GoalDecl,
     IncompatibilityKind,
     InstrumentalArgDecl,
-    ValidationIssue,
     format_kinds,
     kinds_from_letters,
     require_valid,
-    validate,
 )
 from .render import format_rational
 from .selection import SelectionResult, UtilityVariant, select
@@ -249,22 +247,20 @@ def _one_plan_per_goal(
     return GeneralAF(goals, plans, attacks)
 
 
+# The config keys that name an enum member, with the noun their error uses.
+_CONFIG_ENUMS = (("utility", UtilityVariant, "utility variant"), ("semantics", Semantics, "semantics"))
+
+
 def _parse_config(doc: Mapping[str, Any]) -> RunConfig:
     raw = doc.get("config", {})
     _expect(isinstance(raw, dict), "'config' must be an object", "config")
-    config = RunConfig()
-    if "utility" in raw:
-        try:
-            config = RunConfig(
-                UtilityVariant(raw["utility"]), config.semantics, config.tie_break
-            )
-        except ValueError:
-            raise ScenarioError(f"unknown utility variant {raw['utility']!r}", "config.utility")
-    if "semantics" in raw:
-        try:
-            config = RunConfig(config.utility, Semantics(raw["semantics"]), config.tie_break)
-        except ValueError:
-            raise ScenarioError(f"unknown semantics {raw['semantics']!r}", "config.semantics")
+    values = {}
+    for key, enum, noun in _CONFIG_ENUMS:
+        if key in raw:
+            try:
+                values[key] = enum(raw[key])
+            except ValueError:
+                raise ScenarioError(f"unknown {noun} {raw[key]!r}", f"config.{key}") from None
     if "tie_break" in raw:
         _expect(
             raw["tie_break"] == "lexicographic",
@@ -273,7 +269,7 @@ def _parse_config(doc: Mapping[str, Any]) -> RunConfig:
         )
     unknown = sorted(set(raw) - {"utility", "semantics", "tie_break"})
     _expect(not unknown, f"unknown config keys: {', '.join(unknown)}", "config")
-    return config
+    return RunConfig(**values)
 
 
 def parse_scenario(doc: Any) -> Scenario:
@@ -345,12 +341,6 @@ def load_scenario(path: str | Path) -> Scenario:
     except RecursionError:
         raise ScenarioError("document is nested too deeply", str(path)) from None
     return parse_scenario(doc)
-
-
-def validate_scenario(scenario: Scenario) -> list[ValidationIssue]:
-    """Framework-level validation of the scenario's plan level; the one
-    plan per goal of a goal-level document always passes."""
-    return validate(scenario.general)
 
 
 @dataclass(frozen=True)
@@ -449,11 +439,19 @@ def argument_to_dict(arg: ExplanatoryArgument) -> dict[str, Any]:
     }
 
 
+def selection_to_dict(selection: SelectionResult) -> dict[str, Any]:
+    return {
+        "pursued": sorted(selection.pursued),
+        "utility": format_rational(selection.winning_utility),
+        "conflict_free_count": selection.cf_count,
+        "max_extensions": [sorted(s) for s in selection.all_max_extensions],
+    }
+
+
 def report_to_dict(report: RunReport) -> dict[str, Any]:
     """A JSON-ready view of the report.  Timing is left out on purpose, and
     goals are listed by id: identical scenarios must serialize to identical
     bytes, however their documents order them."""
-    selection = report.selection
     xaf_section: dict[str, Any] = {}
     for g in report.gaf_sc.goals:
         xaf = report.model.xafs[g]
@@ -483,12 +481,7 @@ def report_to_dict(report: RunReport) -> dict[str, Any]:
             "raw_attacks": _attack_dicts(report.goal_af_raw),
             "successful_attacks": _attack_dicts(report.gaf_sc),
         },
-        "selection": {
-            "pursued": sorted(selection.pursued),
-            "utility": format_rational(selection.winning_utility),
-            "conflict_free_count": selection.cf_count,
-            "max_extensions": [sorted(s) for s in selection.all_max_extensions],
-        },
+        "selection": selection_to_dict(report.selection),
         "beliefs": [belief_to_dict(b) for b in report.model.beliefs],
         "rule_instances": [instance_to_dict(i) for i in report.model.instances],
         "arguments": [argument_to_dict(a) for a in report.model.arguments],

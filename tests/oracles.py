@@ -170,3 +170,23 @@ def args_for_goal(gaf, goal_id):
 def attacks_with_kind(gaf, kind):
     """The plan-level attack pairs whose label set contains `kind`."""
     return frozenset(pair for pair, labels in gaf.attacks.items() if kind in labels)
+
+
+def rebuts(a, b):
+    """Contradictory claims about the same goal (always mutual)."""
+    return a.claim.goal == b.claim.goal and a.claim.pursued != b.claim.pursued
+
+
+def defeats(a, b):
+    """Directed sharpening of a rebuttal.
+
+    A max-utility argument defeats a non-decisive opponent one-way; between
+    two non-decisive (or two decisive) opponents the rebuttal stays mutual,
+    so both directions count as defeats.
+    """
+    return rebuts(a, b) and (a.decisive or not b.decisive)
+
+
+def conflict_pairs(goal_af):
+    """The undirected conflicts underlying a goal framework's attacks."""
+    return frozenset(frozenset(pair) for pair in goal_af.attacks)

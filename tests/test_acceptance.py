@@ -61,7 +61,7 @@ def test_criterion_1_goal_graph_derivation():
         frozenset({"g2", "g4"}),
         frozenset({"g3", "g4"}),
     }
-    assert raw.conflict_pairs() == expected_pairs
+    assert oracles.conflict_pairs(raw) == expected_pairs
     assert raw.attacks == {(a, b) for pair in expected_pairs for a in pair for b in pair if a != b}
     expected_labels = {
         frozenset({"g3", "g2"}): kinds_from_letters("s"),

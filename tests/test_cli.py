@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CLEANER_WORLD, GOLDEN_DIR, REPO_ROOT
 from goalarg.cli import main
@@ -72,6 +77,27 @@ def test_select_json_output(run):
     assert payload["pursued"] == ["g1", "g3", "g5"]
     assert payload["conflict_free_count"] == 14
     assert payload["utility"] == "2.4"
+
+
+TIED_DOC = {
+    "goals": [
+        {"id": "a", "predicate": "alpha()", "preference": 0.5},
+        {"id": "b", "predicate": "beta()", "preference": 0.5},
+        {"id": "c", "predicate": "gamma()", "preference": 0.25},
+    ],
+    "goal_attacks": [{"from": "a", "to": "b", "kinds": ["t"]}],
+}
+
+
+@pytest.mark.parametrize("doc", [json.loads(CLEANER_WORLD.read_text()), TIED_DOC],
+                         ids=["cleaner-world", "tied-maxima"])
+def test_select_json_is_the_report_selection(run, tmp_path, doc):
+    path = write_scenario(tmp_path, doc)
+    code, out, _ = run("select", path, "--format", "json")
+    assert code == 0
+    code, report, _ = run("report", path)
+    assert code == 0
+    assert json.loads(out) == json.loads(report)["selection"]
 
 
 def test_select_all_extensions_flag(run):
@@ -451,3 +477,115 @@ def test_deep_sub_argument_chain_validates(run, tmp_path):
     add_sub_arg_chain(doc, cyclic=False)
     code, out, err = run("validate", write_scenario(tmp_path, doc))
     assert (code, out.strip(), err) == (0, "ok", "")
+
+
+# A small plan-level document: a sub-plan chain, a one-sided attack and a
+# config block, so that mutations reach every part of the schema.
+PLAN_DOC = {
+    "goals": [
+        {"id": "g1", "predicate": "deliver(p)", "preference": "2/3"},
+        {"id": "g2", "predicate": "charge()", "preference": 0.5},
+        {"id": "g3", "predicate": "fetch(p)", "preference": 1},
+    ],
+    "arguments": [
+        {"id": "P", "claim": "g1", "sub_args": ["Q"]},
+        {"id": "Q", "claim": "g3"},
+        {"id": "R", "claim": "g2"},
+    ],
+    "attacks": [
+        {"from": "P", "to": "R", "kinds": ["r"]},
+        {"from": "R", "to": "P", "kinds": ["r"]},
+        {"from": "Q", "to": "R", "kinds": ["t", "s"]},
+    ],
+    "main_goals": ["g1", "g2"],
+    "config": {"utility": "sum_all", "semantics": "preferred", "tie_break": "lexicographic"},
+}
+
+HOSTILE_VALUES = [
+    None, True, 0, -1, 2, 1e308, -1e-308, float("nan"), float("inf"), "", "1/0", "0/0",
+    "\ud800", "q" * 5000, [], {}, ["q"], [[]], [{}], {"q": 1}, "g1", "P", "t",
+]
+
+# Every command shape; None stands for the scenario path.
+COMMAND_SHAPES = [
+    ["validate", None],
+    ["select", None],
+    ["select", None, "--all-extensions", "--utility", "sum_main"],
+    ["select", None, "--format", "json"],
+    ["beliefs", None],
+    ["beliefs", None, "--format", "json"],
+    ["explain", "why", "g1", None],
+    ["explain", "why-not", "g1", None, "--format", "structured"],
+    ["explain", "why", "g1", None, "--complete", "--format", "dot"],
+    ["explain", "why-not", "g2", None, "--semantics", "stable", "--format", "structured"],
+    ["report", None],
+    ["report", None, "--utility", "sum_main"],
+    ["export", None, "--dot", "general"],
+    ["export", None, "--dot", "goals-raw"],
+    ["export", None, "--dot", "goals"],
+    ["export", None, "--dot", "xaf", "--goal", "g1"],
+]
+
+
+def value_paths(value, prefix=()):
+    """The path to `value` and to everything inside it."""
+    yield prefix
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        children = ()
+    for key, child in children:
+        yield from value_paths(child, (*prefix, key))
+
+
+def mutations(doc):
+    """Set a value to a hostile one, delete a key or list entry, or
+    duplicate a list entry."""
+    paths = list(value_paths(doc))
+    in_lists = [p for p in paths if p and isinstance(p[-1], int)]
+    return st.one_of(
+        st.tuples(st.just("set"), st.sampled_from(paths), st.sampled_from(HOSTILE_VALUES)),
+        st.tuples(st.just("delete"), st.sampled_from(paths[1:]), st.none()),
+        st.tuples(st.just("duplicate"), st.sampled_from(in_lists), st.none()),
+    )
+
+
+def mutated(doc, op, path, value):
+    doc = copy.deepcopy(doc)
+    if not path:
+        return value
+    *parents, last = path
+    container = doc
+    for key in parents:
+        container = container[key]
+    if op == "set":
+        container[last] = value
+    elif op == "delete":
+        del container[last]
+    else:
+        container.insert(last, copy.deepcopy(container[last]))
+    return doc
+
+
+def utf8_stream():
+    """A strict UTF-8 text stream, as stdout is: a lone surrogate that
+    reaches it raises, as it would on a terminal."""
+    return io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([json.loads(CLEANER_WORLD.read_text()), PLAN_DOC]).flatmap(
+    lambda doc: st.tuples(st.just(doc), mutations(doc))))
+def test_mutated_documents_end_in_an_exit_code(tmp_path_factory, case):
+    doc, (op, path, value) = case
+    scenario = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    scenario.write_text(json.dumps(mutated(doc, op, path, value)), encoding="utf-8")
+    for shape in COMMAND_SHAPES:
+        argv = [str(scenario) if word is None else word for word in shape]
+        out, err = utf8_stream(), utf8_stream()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1), argv
+        assert code == 0 or err.buffer.getvalue(), argv

@@ -20,13 +20,11 @@ from goalarg import (
     complete_explanation,
     complete_extensions,
     construct_arguments,
-    defeats,
     derive_goal_af,
     extensions_of,
     grounded_extension,
     kinds_from_letters,
     preferred_extensions,
-    rebuts,
     require_valid,
     select,
     stable_extensions,
@@ -35,7 +33,7 @@ from goalarg import (
     why_not,
 )
 from goalarg.explain import SCHEMAS
-from oracles import derives, negation
+from oracles import defeats, derives, negation, rebuts
 
 
 @pytest.fixture(scope="module")

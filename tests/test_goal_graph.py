@@ -16,6 +16,7 @@ from goalarg import (
     derive_goal_af,
     kinds_from_letters,
 )
+from oracles import conflict_pairs
 
 EXPECTED_CONFLICT_PAIRS = {
     frozenset({"g1", "g4"}),
@@ -34,7 +35,7 @@ EXPECTED_LABELS = {
 def test_derivation_produces_exactly_the_expected_pairs():
     raw = derive_goal_af(cleaner_general_af())
     assert raw.stage is Stage.RAW
-    assert raw.conflict_pairs() == EXPECTED_CONFLICT_PAIRS
+    assert conflict_pairs(raw) == EXPECTED_CONFLICT_PAIRS
     # derivation is symmetric
     assert all((b, a) in raw.attacks for (a, b) in raw.attacks)
 
@@ -118,7 +119,7 @@ def test_filtering_is_monotone_and_preserves_conflict_pairs():
         raw = random_goal_af(rng, max_goals=10)
         filtered = apply_successful_attacks(raw)
         assert filtered.attacks <= raw.attacks
-        assert filtered.conflict_pairs() == raw.conflict_pairs()
+        assert conflict_pairs(filtered) == conflict_pairs(raw)
 
 
 def test_filtering_invariant_under_monotone_rescaling():

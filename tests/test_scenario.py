@@ -16,7 +16,7 @@ from goalarg import (
     load_scenario,
     parse_scenario,
     run_pipeline,
-    validate_scenario,
+    validate,
 )
 
 
@@ -114,7 +114,7 @@ def test_goal_level_documents_derive_their_declared_conflicts():
     for _ in range(60):
         doc = random_goal_level_doc(rng)
         scenario = parse_scenario(doc)
-        assert validate_scenario(scenario) == []
+        assert validate(scenario.general) == []
         raw = run_pipeline(scenario).goal_af_raw
         declared = {}
         for e in doc["goal_attacks"]:
@@ -168,6 +168,24 @@ def test_schema_violations_carry_locations(mutate, location):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(doc)
     assert err.value.location == location
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"utility": "product"}, "config.utility: unknown utility variant 'product'"),
+        ({"semantics": "ideal"}, "config.semantics: unknown semantics 'ideal'"),
+        ({"semantics": ["grounded"]}, "config.semantics: unknown semantics ['grounded']"),
+        ({"tie_break": "random"}, "config.tie_break: unknown tie-break policy 'random'"),
+        ({"bogus": 1, "extra": 2}, "config: unknown config keys: bogus, extra"),
+    ],
+)
+def test_config_errors_name_the_bad_value(config, message):
+    doc = load_doc()
+    doc["config"] = config
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(doc)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("raw", ["1e999999", "1e-5000", "1e-9999999", "2.5E+1_000_000_000"])
@@ -254,7 +272,7 @@ def test_config_defaults_and_values(tmp_path):
 
 
 def test_validate_scenario_clean_fixture():
-    assert validate_scenario(load_scenario(CLEANER_WORLD)) == []
+    assert validate(load_scenario(CLEANER_WORLD).general) == []
 
 
 def test_pipeline_override_beats_file_config(tmp_path):
