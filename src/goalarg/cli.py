@@ -17,7 +17,7 @@ from typing import Any
 from .af_core import AbstractAF
 from .errors import GoalArgError, InputError
 from .explain import Explanation, ExplanationKind, Semantics, complete_explanation, why, why_not
-from .instrumental import validate
+from .instrumental import require_valid, validate
 from .render import export_dot, format_rational, render_partial_explanation
 from .scenario import (
     Scenario,
@@ -125,13 +125,13 @@ def _cmd_report(scenario: Scenario, args: argparse.Namespace) -> int:
 
 
 def _cmd_export(scenario: Scenario, args: argparse.Namespace) -> int:
-    report = run_pipeline(scenario)
     stage = args.dot
     if stage == "general":
-        general = scenario.general
+        general = require_valid(scenario.general)
         af = AbstractAF.of((a.id for a in general.args), general.attacks.keys())
         sys.stdout.write(export_dot(af))
         return 0
+    report = run_pipeline(scenario)
     names = scenario.names()
     if stage == "goals-raw":
         sys.stdout.write(export_dot(report.goal_af_raw, names))

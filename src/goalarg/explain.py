@@ -49,7 +49,6 @@ class AtomPattern:
 
     kind: BeliefKind
     vars: tuple[str, ...]
-    binds_labels: bool = False
 
 
 @dataclass(frozen=True)
@@ -64,35 +63,14 @@ class RuleSchema:
     decisive: bool = False
 
 
+# r2-r4 open with the conflict between x and y; its belief carries the labels.
+_INCOMPAT_XY = AtomPattern(BeliefKind.INCOMPAT, ("x", "y"))
+
 SCHEMAS: tuple[RuleSchema, ...] = (
     RuleSchema("r1", (AtomPattern(BeliefKind.NOT_INCOMP, ("x",)),), "x", True),
-    RuleSchema(
-        "r2",
-        (
-            AtomPattern(BeliefKind.INCOMPAT, ("x", "y"), binds_labels=True),
-            AtomPattern(BeliefKind.PREF, ("x", "y")),
-        ),
-        "x",
-        True,
-    ),
-    RuleSchema(
-        "r3",
-        (
-            AtomPattern(BeliefKind.INCOMPAT, ("x", "y"), binds_labels=True),
-            AtomPattern(BeliefKind.NOT_PREF, ("y", "x")),
-        ),
-        "y",
-        False,
-    ),
-    RuleSchema(
-        "r4",
-        (
-            AtomPattern(BeliefKind.INCOMPAT, ("x", "y"), binds_labels=True),
-            AtomPattern(BeliefKind.EQ_PREF, ("x", "y")),
-        ),
-        "x",
-        True,
-    ),
+    RuleSchema("r2", (_INCOMPAT_XY, AtomPattern(BeliefKind.PREF, ("x", "y"))), "x", True),
+    RuleSchema("r3", (_INCOMPAT_XY, AtomPattern(BeliefKind.NOT_PREF, ("y", "x"))), "y", False),
+    RuleSchema("r4", (_INCOMPAT_XY, AtomPattern(BeliefKind.EQ_PREF, ("x", "y"))), "x", True),
     RuleSchema("r5", (AtomPattern(BeliefKind.MAX_UTIL, ("x",)),), "x", True, decisive=True),
     RuleSchema("r6", (AtomPattern(BeliefKind.NOT_MAX_UTIL, ("x",)),), "x", False, decisive=True),
 )
@@ -137,8 +115,9 @@ class RuleInstance:
 def trigger_rules(beliefs: Iterable[Belief]) -> tuple[RuleInstance, ...]:
     """Fire every schema whose body unifies with the belief set.
 
-    Each satisfying substitution yields exactly one instance; numbering is
-    by schema order, then by the sorted substitution, so runs are stable.
+    Each belief of a schema's first body kind yields at most one instance;
+    numbering is by schema order, then by the sorted goals of that first
+    body belief, so runs are stable.
     """
     by_kind: dict[BeliefKind, dict[tuple[str, ...], Belief]] = {}
     for b in beliefs:
@@ -146,28 +125,21 @@ def trigger_rules(beliefs: Iterable[Belief]) -> tuple[RuleInstance, ...]:
 
     instances: list[RuleInstance] = []
     for schema in SCHEMAS:
-        matches: dict[tuple[str, str], tuple] = {}
         first, *rest = schema.body
         tables = [(atom, by_kind.get(atom.kind, {})) for atom in rest]
-        for belief in by_kind.get(first.kind, {}).values():
-            subst = dict(zip(first.vars, belief.goals))
-            labels = belief.labels if first.binds_labels else None
+        for goals, belief in sorted(by_kind.get(first.kind, {}).items()):
+            subst = dict(zip(first.vars, goals))
             body = [belief]
             for atom, table in tables:
                 hit = table.get(tuple(subst[v] for v in atom.vars))
                 if hit is None:
                     break
-                if atom.binds_labels:
-                    labels = hit.labels
                 body.append(hit)
             else:
+                labels = belief.labels if first.kind is BeliefKind.INCOMPAT else None
                 head = Claim(subst[schema.head_var], schema.head_pursued)
-                key = (subst["x"], subst.get("y", ""))
-                matches[key] = (subst["x"], subst.get("y"), labels, tuple(body), head)
-        for key in sorted(matches):
-            instances.append(
-                RuleInstance(schema.id, *matches[key], index=len(instances) + 1)
-            )
+                instances.append(RuleInstance(schema.id, subst["x"], subst.get("y"), labels,
+                                              tuple(body), head, index=len(instances) + 1))
     return tuple(instances)
 
 

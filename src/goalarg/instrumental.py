@@ -18,19 +18,12 @@ from .errors import ValidationError
 
 
 class IncompatibilityKind(Enum):
-    """The three closed kinds of conflict between plans."""
+    """The three closed kinds of conflict between plans; declaration
+    order (t, r, s) is the display order of label sets."""
 
     TERMINAL = "t"
     RESOURCE = "r"
     SUPERFLUITY = "s"
-
-
-# Canonical display order for label sets.
-KIND_ORDER = (
-    IncompatibilityKind.TERMINAL,
-    IncompatibilityKind.RESOURCE,
-    IncompatibilityKind.SUPERFLUITY,
-)
 
 
 def kinds_from_letters(letters: Iterable[str]) -> frozenset[IncompatibilityKind]:
@@ -39,7 +32,7 @@ def kinds_from_letters(letters: Iterable[str]) -> frozenset[IncompatibilityKind]
 
 def format_kinds(kinds: frozenset[IncompatibilityKind]) -> str:
     """Render a label set as its letters in fixed t, r, s order: "t,r"."""
-    return ",".join(k.value for k in KIND_ORDER if k in kinds)
+    return ",".join(k.value for k in IncompatibilityKind if k in kinds)
 
 
 @dataclass(frozen=True)

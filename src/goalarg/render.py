@@ -54,19 +54,17 @@ def render_argument(
 ) -> ExplanatorySentence:
     """Apply the scheme matching the argument's rule.
 
-    `names` resolves goal ids to their display predicates, verbatim; label
-    sets render as their letters in fixed t, r, s order.
+    The slots are the instance's substitution, with `x` and `y` resolved
+    through `names` to their display predicates, verbatim; label sets
+    render as their letters in fixed t, r, s order.
     """
     inst = arg.instance
-    slots: dict[str, str] = {}
-    for var, goal in (("x", inst.x), ("y", inst.y)):
-        if goal is None:
-            continue
-        if goal not in names:
-            raise InputError(f"no predicate known for goal {goal!r}")
-        slots[var] = names[goal]
-    if inst.labels is not None:
-        slots["ls"] = format_kinds(inst.labels)
+    slots = inst.substitution()
+    for var in ("x", "y"):
+        if var in slots:
+            if slots[var] not in names:
+                raise InputError(f"no predicate known for goal {slots[var]!r}")
+            slots[var] = names[slots[var]]
     text = SENTENCE_TEMPLATES[inst.schema_id].format(**slots)
     return ExplanatorySentence(arg.id, inst.schema_id, text)
 

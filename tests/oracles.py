@@ -8,7 +8,7 @@ as ground truth for frameworks up to ~15 nodes.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 from goalarg import Claim, InputError, RuleInstance
 
@@ -158,6 +158,41 @@ def derives(support, claim):
 
 def negation(claim):
     return Claim(claim.goal, not claim.pursued)
+
+
+# The six explanatory rules, restated: id, body atoms as (belief kind,
+# variables), head variable, head polarity.
+RULES = (
+    ("r1", (("not_incomp", "x"),), "x", True),
+    ("r2", (("incompat", "xy"), ("pref", "xy")), "x", True),
+    ("r3", (("incompat", "xy"), ("not_pref", "yx")), "y", False),
+    ("r4", (("incompat", "xy"), ("eq_pref", "xy")), "x", True),
+    ("r5", (("max_util", "x"),), "x", True),
+    ("r6", (("not_max_util", "x"),), "x", False),
+)
+
+
+def trigger_brute(beliefs):
+    """Every rule instance, by definition: each rule under every binding of
+    x (and y for binary rules) to the goals the beliefs mention, kept when
+    every body atom is a belief.  Labels come from the incompat body belief;
+    instances are numbered by rule, then by (x, y)."""
+    by_shape = {(b.kind.value, b.goals): b for b in beliefs}
+    goals = sorted({g for b in beliefs for g in b.goals})
+    out = []
+    for rule_id, body, head_var, head_pursued in RULES:
+        arity = max(len(variables) for _, variables in body)
+        for binding in product(goals, repeat=arity):
+            subst = dict(zip("xy", binding))
+            hits = [by_shape.get((kind, tuple(subst[v] for v in variables)))
+                    for kind, variables in body]
+            if any(h is None for h in hits):
+                continue
+            labels = next((h.labels for h in hits if h.kind.value == "incompat"), None)
+            head = Claim(subst[head_var], head_pursued)
+            out.append(RuleInstance(rule_id, subst["x"], subst.get("y"), labels,
+                                    tuple(hits), head, index=len(out) + 1))
+    return tuple(out)
 
 
 def args_for_goal(gaf, goal_id):

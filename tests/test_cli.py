@@ -314,6 +314,20 @@ def test_export_general_on_goal_level_document(run, tmp_path):
     ]
 
 
+def test_export_general_rejects_an_invalid_plan_graph(run, tmp_path):
+    doc = {
+        "goals": [{"id": "g1", "predicate": "one()", "preference": 0.5}],
+        "arguments": [{"id": "A", "claim": "g9"}],
+        "attacks": [],
+    }
+    code, out, err = run("export", write_scenario(tmp_path, doc), "--dot", "general")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: validation failed: error at arguments[0] (A): "
+        "claim references unknown goal 'g9'\n"
+    )
+
+
 def test_malformed_json_has_location(run, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"goals": [', encoding="utf-8")

@@ -22,6 +22,7 @@ from goalarg import (
     construct_arguments,
     derive_goal_af,
     extensions_of,
+    generate_beliefs,
     grounded_extension,
     kinds_from_letters,
     preferred_extensions,
@@ -33,7 +34,7 @@ from goalarg import (
     why_not,
 )
 from goalarg.explain import SCHEMAS
-from oracles import defeats, derives, negation, rebuts
+from oracles import defeats, derives, negation, rebuts, trigger_brute
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +107,31 @@ def test_equal_preference_rule_fires_both_ways():
         ("r4", "a", "b", labels, Claim("a", True)),
         ("r4", "b", "a", labels, Claim("b", True)),
     }
+
+
+def instance_record(inst):
+    body = tuple((b, b.index) for b in inst.body)
+    return (inst.schema_id, inst.x, inst.y, inst.labels, body, inst.head, inst.index)
+
+
+def test_trigger_rules_match_the_definition():
+    # Belief sets from random direct and instrumental scenarios, then
+    # shuffled subsets with about a fifth of the beliefs dropped, so that
+    # some bodies are incomplete and the input order varies.
+    rng = random.Random(41)
+    raws = [random_goal_af(rng, max_goals=10) for _ in range(30)]
+    raws += [derive_goal_af(require_valid(random_general_af(rng))) for _ in range(30)]
+    belief_sets = []
+    for raw in raws:
+        filtered = apply_successful_attacks(raw)
+        belief_sets.append(generate_beliefs(filtered, select(filtered)))
+    for beliefs in rng.sample(belief_sets, 20):
+        kept = [b for b in beliefs if rng.random() >= 0.2]
+        rng.shuffle(kept)
+        belief_sets.append(tuple(kept))
+    for beliefs in belief_sets:
+        got = [instance_record(i) for i in trigger_rules(beliefs)]
+        assert got == [instance_record(i) for i in trigger_brute(beliefs)]
 
 
 def test_arguments_one_per_instance(cleaner_model):
