@@ -10,7 +10,6 @@ frameworks and as pseudo-natural sentences.
 
 from .af_core import (
     AbstractAF,
-    admissible_sets,
     complete_extensions,
     conflict_free_sets,
     defends,

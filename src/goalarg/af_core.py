@@ -1,8 +1,8 @@
 """Abstract argumentation frameworks and their extension-based semantics.
 
 A framework is a directed attack graph over opaque node identifiers.  The
-semantics here (conflict-free, admissible, complete, grounded, preferred,
-stable) are the classical extension-based ones.  Goal selection uses the
+semantics here (conflict-free, complete, grounded, preferred, stable)
+are the classical extension-based ones.  Goal selection uses the
 weighted conflict-free walk; hand-built explanatory frameworks use the
 rest (grounded by default).
 
@@ -139,11 +139,6 @@ def grounded_extension(af: AbstractAF) -> frozenset[str]:
         if nxt == current:
             return current
         current = nxt
-
-
-def admissible_sets(af: AbstractAF) -> list[frozenset[str]]:
-    """Conflict-free sets that defend all of their members."""
-    return [s for s in conflict_free_sets(af) if s <= characteristic(af, s)]
 
 
 def complete_extensions(af: AbstractAF) -> list[frozenset[str]]:

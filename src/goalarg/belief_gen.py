@@ -19,6 +19,7 @@ from .selection import SelectionResult
 
 
 class BeliefKind(Enum):
+    __hash__ = object.__hash__  # singletons, so identity agrees with ==; Enum.__hash__ runs in Python
 
     NOT_INCOMP = "not_incomp"
     PREF = "pref"
@@ -91,8 +92,7 @@ def generate_beliefs(gaf_sc: GoalAF, selection: SelectionResult) -> tuple[Belief
 
     def add(kind: BeliefKind, goals: tuple[str, ...], provenance: str,
             labels: frozenset[IncompatibilityKind] | None = None) -> None:
-        beliefs.append(Belief(kind, goals, labels, index=len(beliefs) + 1,
-                              provenance=provenance))
+        beliefs.append(Belief(kind, goals, labels, len(beliefs) + 1, provenance))
 
     for g in sorted(comps(gaf_sc)):
         add(BeliefKind.NOT_INCOMP, (g,), "no-conflicts")

@@ -14,7 +14,8 @@ an extension of it.  Every goal gets exactly one max_util or ¬max_util
 belief, so every framework the pipeline builds has one decisive argument
 (r5 or r6), unattacked and defeating each opponent: under grounded,
 complete, preferred and stable alike, its one extension is the side that
-agrees with the selection, read off directly.  The configurable semantics
+agrees with the selection, read off directly, so a framework derives its
+defeat edges only when they are first read.  The configurable semantics
 only matters for hand-built frameworks, which `af_core` evaluates.
 """
 
@@ -23,6 +24,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from operator import itemgetter
 
 from . import af_core
 from .belief_gen import Belief, BeliefKind, generate_beliefs
@@ -115,31 +118,38 @@ class RuleInstance:
 def trigger_rules(beliefs: Iterable[Belief]) -> tuple[RuleInstance, ...]:
     """Fire every schema whose body unifies with the belief set.
 
-    Each belief of a schema's first body kind yields at most one instance;
+    Each belief of a schema's first body kind yields at most one instance,
+    whose later atoms and head are read by position off that belief's goals;
     numbering is by schema order, then by the sorted goals of that first
     body belief, so runs are stable.
     """
-    by_kind: dict[BeliefKind, dict[tuple[str, ...], Belief]] = {}
+    by_kind: dict[BeliefKind, dict[tuple[str, ...], Belief]] = {kind: {} for kind in BeliefKind}
     for b in beliefs:
-        by_kind.setdefault(b.kind, {})[b.goals] = b
+        by_kind[b.kind][b.goals] = b
+    ordered = {kind: sorted(table.items()) for kind, table in by_kind.items()}
 
+    claims: dict[tuple[str, bool], Claim] = {}
     instances: list[RuleInstance] = []
     for schema in SCHEMAS:
         first, *rest = schema.body
-        tables = [(atom, by_kind.get(atom.kind, {})) for atom in rest]
-        for goals, belief in sorted(by_kind.get(first.kind, {}).items()):
-            subst = dict(zip(first.vars, goals))
+        where = first.vars.index
+        # Later atoms (r2-r4 have one) bind two variables: itemgetter yields a key tuple.
+        tables = [(itemgetter(*map(where, atom.vars)), by_kind[atom.kind]) for atom in rest]
+        x, head = where("x"), where(schema.head_var)
+        y = where("y") if "y" in first.vars else None
+        for goals, belief in ordered[first.kind]:
             body = [belief]
-            for atom, table in tables:
-                hit = table.get(tuple(subst[v] for v in atom.vars))
+            for pick, table in tables:
+                hit = table.get(pick(goals))
                 if hit is None:
                     break
                 body.append(hit)
             else:
                 labels = belief.labels if first.kind is BeliefKind.INCOMPAT else None
-                head = Claim(subst[schema.head_var], schema.head_pursued)
-                instances.append(RuleInstance(schema.id, subst["x"], subst.get("y"), labels,
-                                              tuple(body), head, index=len(instances) + 1))
+                key = (goals[head], schema.head_pursued)
+                claim = claims.get(key) or claims.setdefault(key, Claim(*key))
+                instances.append(RuleInstance(schema.id, goals[x], None if y is None else goals[y],
+                                              labels, tuple(body), claim, len(instances) + 1))
     return tuple(instances)
 
 
@@ -193,41 +203,36 @@ def construct_arguments(
     for inst in instances:
         if not set(inst.body) <= belief_set:
             raise InputError(f"instance {inst.id} was not triggered from these beliefs")
-        out.append(ExplanatoryArgument(inst, index=len(out) + 1))
+        out.append(ExplanatoryArgument(inst, len(out) + 1))
     return tuple(out)
 
 
 @dataclass(frozen=True)
 class ExplanatoryAF:
-    """The per-goal framework: all arguments about one goal plus defeats."""
+    """The per-goal framework: one goal's arguments, its defeats derived on first read."""
 
     goal: str
     arguments: tuple[ExplanatoryArgument, ...]
-    defeats: frozenset[tuple[str, str]]
+
+    @cached_property
+    def defeats(self) -> frozenset[tuple[str, str]]:
+        """The defeat rule: a pro and a con argument rebut each other, and each
+        rebuttal is a defeat, except that a non-decisive argument does not
+        defeat a decisive one.  So a max-utility argument defeats its
+        opponents one way, and any other rebuttal stays mutual."""
+        pro = [a for a in self.arguments if a.claim.pursued]
+        con = [a for a in self.arguments if not a.claim.pursued]
+        rebuttals = [(a, b) for a in pro for b in con] + [(b, a) for a in pro for b in con]
+        return frozenset((a.id, b.id) for a, b in rebuttals if a.decisive or not b.decisive)
 
     def to_abstract(self) -> af_core.AbstractAF:
         return af_core.AbstractAF.of((a.id for a in self.arguments), self.defeats)
 
 
 def build_xaf(goal: str, arguments: Iterable[ExplanatoryArgument]) -> ExplanatoryAF:
-    """Collect the goal's arguments and the defeat edges among them.
-
-    The defeat rule: a pro and a con argument about the goal rebut each
-    other, and each rebuttal is a defeat, except that a non-decisive
-    argument does not defeat a decisive one.  So a max-utility argument
-    defeats its opponents one way, and any other rebuttal stays mutual.
-    """
-    mine = tuple(a for a in arguments if a.claim.goal == goal)
-    pro = [a for a in mine if a.claim.pursued]
-    con = [a for a in mine if not a.claim.pursued]
-    edges = set()
-    for a in pro:
-        for b in con:
-            if a.decisive or not b.decisive:
-                edges.add((a.id, b.id))
-            if b.decisive or not a.decisive:
-                edges.add((b.id, a.id))
-    return ExplanatoryAF(goal, mine, frozenset(edges))
+    """Collect the goal's arguments into its framework; its defeats are
+    derived on first read (see `ExplanatoryAF.defeats`)."""
+    return ExplanatoryAF(goal, tuple(a for a in arguments if a.claim.goal == goal))
 
 
 class Semantics(Enum):
@@ -243,7 +248,7 @@ def extensions_of(
 ) -> tuple[tuple[ExplanatoryArgument, ...], ...]:
     """Evaluate the framework; each extension's members come back ordered.
 
-    With `build_xaf`'s defeats, decisive arguments that all claim one
+    Under the defeat rule, decisive arguments that all claim one
     polarity (as in every pipeline framework) are unattacked and defeat
     every opponent, so that side is the one extension under every
     semantics.  Other frameworks go through `af_core`: grounded yields
@@ -309,7 +314,7 @@ def build_explanation_model(gaf_sc: GoalAF, selection: SelectionResult) -> Expla
     by_goal: dict[str, list[ExplanatoryArgument]] = {g: [] for g in gaf_sc.goals}
     for a in arguments:
         by_goal[a.claim.goal].append(a)
-    xafs = {g: build_xaf(g, mine) for g, mine in by_goal.items()}
+    xafs = {g: ExplanatoryAF(g, tuple(mine)) for g, mine in by_goal.items()}
     return ExplanationModel(gaf_sc, selection, beliefs, instances, arguments, xafs)
 
 

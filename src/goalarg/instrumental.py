@@ -120,23 +120,24 @@ def validate(gaf: GeneralAF) -> list[ValidationIssue]:
 
     issues.extend(_sub_arg_cycles(gaf))
 
-    for (attacker, target) in sorted(gaf.attacks):
-        labels = gaf.attacks[(attacker, target)]
-        loc = f"attacks[({attacker}, {target})]"
-        for endpoint in (attacker, target):
+    def attack_issue(severity: str, pair: tuple[str, str], message: str) -> None:
+        # The location is formatted only for a pair that has an issue.
+        issues.append(ValidationIssue(severity, "attacks[({}, {})]".format(*pair), message))
+
+    for pair, labels in sorted(gaf.attacks.items()):
+        attacker, target = pair
+        for endpoint in pair:
             if endpoint not in arg_ids:
-                issues.append(ValidationIssue("error", loc, f"unknown argument {endpoint!r}"))
+                attack_issue("error", pair, f"unknown argument {endpoint!r}")
         if attacker == target:
-            issues.append(ValidationIssue("error", loc, "self-attack"))
+            attack_issue("error", pair, "self-attack")
         if not labels:
-            issues.append(ValidationIssue("error", loc, "empty incompatibility label set"))
+            attack_issue("error", pair, "empty incompatibility label set")
         reverse = gaf.attacks.get((target, attacker))
         if reverse is None:
-            issues.append(ValidationIssue("warning", loc, "reverse attack not declared"))
+            attack_issue("warning", pair, "reverse attack not declared")
         elif reverse != labels:
-            issues.append(
-                ValidationIssue("warning", loc, "labels differ from the reverse attack's")
-            )
+            attack_issue("warning", pair, "labels differ from the reverse attack's")
 
     return issues
 

@@ -81,11 +81,11 @@ def _expect(condition: bool, message: str, location: str) -> None:
 
 # JSON can spell a lone surrogate ("\ud800"), which UTF-8 cannot encode.
 _SURROGATE = re.compile("[\ud800-\udfff]")
+_SURROGATE_MESSAGE = "holds a lone surrogate, which cannot be printed"
 
 
-def _expect_encodable(text: str, location: str) -> None:
-    if not text.isascii() and _SURROGATE.search(text):
-        raise ScenarioError("holds a lone surrogate, which cannot be printed", location)
+def _has_surrogate(text: str) -> bool:
+    return not text.isascii() and _SURROGATE.search(text) is not None
 
 
 # The interpreter converts at most this many digits between int and str;
@@ -143,7 +143,7 @@ def _parse_goals(doc: Mapping[str, Any]) -> tuple[GoalDecl, ...]:
             _expect(key in entry, f"missing key '{key}'", loc)
         gid, predicate = entry["id"], entry["predicate"]
         _expect(isinstance(gid, str) and gid, "'id' must be a nonempty string", f"{loc}.id")
-        _expect_encodable(gid, f"{loc}.id")
+        _expect(not _has_surrogate(gid), _SURROGATE_MESSAGE, f"{loc}.id")
         _expect(gid not in seen, f"duplicate goal id {gid!r}", f"{loc}.id")
         seen.add(gid)
         _expect(
@@ -151,7 +151,7 @@ def _parse_goals(doc: Mapping[str, Any]) -> tuple[GoalDecl, ...]:
             "'predicate' must be a nonempty string",
             f"{loc}.predicate",
         )
-        _expect_encodable(predicate, f"{loc}.predicate")
+        _expect(not _has_surrogate(predicate), _SURROGATE_MESSAGE, f"{loc}.predicate")
         out.append(GoalDecl(gid, predicate, _parse_preference(entry["preference"], f"{loc}.preference")))
     # A utility sums at most len(out) preferences, so its denominator divides
     # their LCM, its numerator is at most len(out) times that, and its decimal
@@ -170,32 +170,34 @@ _LABEL_SETS = {
 }
 
 
-def _parse_kinds(raw: Any, location: str) -> frozenset[IncompatibilityKind]:
-    _expect(isinstance(raw, list) and raw, "'kinds' must be a nonempty list", location)
-    for letter in raw:
-        if letter not in ("t", "r", "s"):
-            raise ScenarioError(f"unknown incompatibility kind {letter!r}", location)
-    return _LABEL_SETS[frozenset(raw)]
-
-
 def _parse_attack_entries(
     raw: Any, key: str
 ) -> dict[tuple[str, str], frozenset[IncompatibilityKind]]:
+    """Here and in `_one_plan_per_goal`, checks format text only when they raise."""
     _expect(isinstance(raw, list), f"'{key}' must be a list", key)
     attacks: dict[tuple[str, str], frozenset[IncompatibilityKind]] = {}
     for i, entry in enumerate(raw):
-        loc = f"{key}[{i}]"
-        _expect(isinstance(entry, dict), "must be an object", loc)
+        if not isinstance(entry, dict):
+            raise ScenarioError("must be an object", f"{key}[{i}]")
         for field_name in ("from", "to", "kinds"):
-            _expect(field_name in entry, f"missing key '{field_name}'", loc)
+            if field_name not in entry:
+                raise ScenarioError(f"missing key '{field_name}'", f"{key}[{i}]")
         source, target = entry["from"], entry["to"]
-        _expect(isinstance(source, str) and isinstance(target, str), "'from'/'to' must be strings", loc)
-        _expect_encodable(source, loc)
-        _expect_encodable(target, loc)
+        if not (isinstance(source, str) and isinstance(target, str)):
+            raise ScenarioError("'from'/'to' must be strings", f"{key}[{i}]")
+        if _has_surrogate(source) or _has_surrogate(target):
+            raise ScenarioError(_SURROGATE_MESSAGE, f"{key}[{i}]")
+        letters = entry["kinds"]
+        if not (isinstance(letters, list) and letters):
+            raise ScenarioError("'kinds' must be a nonempty list", f"{key}[{i}].kinds")
+        for letter in letters:
+            if letter not in ("t", "r", "s"):
+                raise ScenarioError(f"unknown incompatibility kind {letter!r}", f"{key}[{i}].kinds")
+        kinds = _LABEL_SETS[frozenset(letters)]
         pair = (source, target)
-        kinds = _parse_kinds(entry["kinds"], f"{loc}.kinds")
-        if pair in attacks and attacks[pair] != kinds:
-            raise ScenarioError(f"pair ({source}, {target}) declared twice with different kinds", loc)
+        if attacks.get(pair, kinds) != kinds:
+            raise ScenarioError(f"pair ({source}, {target}) declared twice with different kinds",
+                                f"{key}[{i}]")
         attacks[pair] = kinds
     return attacks
 
@@ -214,7 +216,7 @@ def _parse_arguments(doc: Mapping[str, Any]) -> tuple[InstrumentalArgDecl, ...]:
             "'id' and 'claim' must be strings",
             loc,
         )
-        _expect_encodable(entry["id"], loc)
+        _expect(not _has_surrogate(entry["id"]), _SURROGATE_MESSAGE, loc)
         sub = entry.get("sub_args", [])
         _expect(isinstance(sub, list), "'sub_args' must be a list", f"{loc}.sub_args")
         for j, sub_id in enumerate(sub):
@@ -231,17 +233,15 @@ def _one_plan_per_goal(
     own single plan, and each declared conflict holds in both directions."""
     goal_ids = {g.id for g in goals}
     attacks: dict[tuple[str, str], frozenset[IncompatibilityKind]] = {}
-    for a, b in sorted(entries):
-        kinds = entries[(a, b)]
-        loc = f"goal_attacks[({a}, {b})]"
-        _expect(a in goal_ids, f"unknown goal {a!r}", loc)
-        _expect(b in goal_ids, f"unknown goal {b!r}", loc)
-        _expect(a != b, "a goal cannot conflict with itself", loc)
-        reverse = entries.get((b, a))
-        if reverse is not None and reverse != kinds:
-            raise ScenarioError(
-                f"kinds for ({a}, {b}) disagree with the reverse direction", loc
-            )
+    for (a, b), kinds in sorted(entries.items()):
+        for goal in (a, b):
+            if goal not in goal_ids:
+                raise ScenarioError(f"unknown goal {goal!r}", f"goal_attacks[({a}, {b})]")
+        if a == b:
+            raise ScenarioError("a goal cannot conflict with itself", f"goal_attacks[({a}, {b})]")
+        if entries.get((b, a), kinds) != kinds:
+            raise ScenarioError(f"kinds for ({a}, {b}) disagree with the reverse direction",
+                                f"goal_attacks[({a}, {b})]")
         attacks[(a, b)] = attacks[(b, a)] = kinds
     plans = tuple(InstrumentalArgDecl(g.id, g.id) for g in goals)
     return GeneralAF(goals, plans, attacks)

@@ -2,7 +2,9 @@
 
 Everything here enumerates all subsets and applies the defining condition
 verbatim, independent of the library's pruned enumeration, so it can serve
-as ground truth for frameworks up to ~15 nodes.
+as ground truth for frameworks up to ~15 nodes.  `admissible_sets` is the
+one exception: the library's conflict-free sets filtered by its defense
+function, checked in `test_af_core` against `admissible_brute`.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 
 from goalarg import Claim, InputError, RuleInstance
+from goalarg.af_core import characteristic, conflict_free_sets
 
 
 def powerset(nodes):
@@ -40,6 +43,11 @@ def admissible_brute(nodes, attacks):
         s for s in conflict_free_brute(nodes, attacks)
         if all(defends(nodes, attacks, s, a) for a in s)
     }
+
+
+def admissible_sets(af):
+    """Conflict-free sets that defend all of their members."""
+    return [s for s in conflict_free_sets(af) if s <= characteristic(af, s)]
 
 
 def complete_brute(nodes, attacks):

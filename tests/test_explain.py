@@ -25,8 +25,10 @@ from goalarg import (
     generate_beliefs,
     grounded_extension,
     kinds_from_letters,
+    parse_scenario,
     preferred_extensions,
     require_valid,
+    run_pipeline,
     select,
     stable_extensions,
     trigger_rules,
@@ -366,6 +368,28 @@ def test_defeat_edges_connect_rebutting_pairs_only():
             assert xaf.defeats == {
                 (a.id, b.id) for a in xaf.arguments for b in xaf.arguments if defeats(a, b)
             }
+
+
+def test_pipeline_leaves_defeats_underived():
+    # Deciding never needs the defeat edges: run_pipeline leaves them
+    # unbuilt, and a later read still yields the defeat rule's edges.
+    rng = random.Random(43)
+    for _ in range(20):
+        ids = [f"g{i}" for i in range(rng.randint(4, 10))]
+        doc = {
+            "goals": [{"id": g, "predicate": f"{g}()", "preference": f"{rng.randint(1, 8)}/8"}
+                      for g in ids],
+            "goal_attacks": [{"from": a, "to": b, "kinds": rng.sample("trs", rng.randint(1, 3))}
+                             for i, a in enumerate(ids) for b in ids[i + 1:]
+                             if rng.random() < 0.8],
+        }
+        xafs = run_pipeline(parse_scenario(doc)).model.xafs.values()
+        assert all("defeats" not in vars(xaf) for xaf in xafs)
+        for xaf in xafs:
+            assert xaf.defeats == {
+                (a.id, b.id) for a in xaf.arguments for b in xaf.arguments if defeats(a, b)
+            }
+            assert "defeats" in vars(xaf)
 
 
 AF_CORE_SEMANTICS = {

@@ -96,6 +96,26 @@ def test_asymmetric_attack_warns_but_passes():
     require_valid(gaf)  # warnings are not fatal
 
 
+@pytest.mark.parametrize(
+    "attacks, expected",
+    [
+        ({("A", "Z"): "t", ("Z", "A"): "t"},
+         ["error at attacks[(A, Z)]: unknown argument 'Z'",
+          "error at attacks[(Z, A)]: unknown argument 'Z'"]),
+        ({("A", "A"): "r"}, ["error at attacks[(A, A)]: self-attack"]),
+        ({("A", "B"): "t"}, ["warning at attacks[(A, B)]: reverse attack not declared"]),
+        ({("A", "B"): "t", ("B", "A"): "tr"},
+         ["warning at attacks[(A, B)]: labels differ from the reverse attack's",
+          "warning at attacks[(B, A)]: labels differ from the reverse attack's"]),
+        ({("A", "B"): "rs", ("B", "A"): "rs"}, []),
+    ],
+)
+def test_attack_issues_are_reported_verbatim(attacks, expected):
+    labeled = {pair: kinds_from_letters(letters) for pair, letters in attacks.items()}
+    issues = validate(GeneralAF(CLEANER_GOALS, CLEANER_ARGS, labeled))
+    assert [str(i) for i in issues] == expected
+
+
 def test_args_for_goal_cleaner_world():
     gaf = cleaner_general_af()
     assert args_for_goal(gaf, "g1") == {"A", "C"}

@@ -170,6 +170,61 @@ def test_schema_violations_carry_locations(mutate, location):
     assert err.value.location == location
 
 
+def goal_level_doc(*entries):
+    goals = [{"id": g, "predicate": f"{g}()", "preference": 0.5} for g in ("a", "b", "c")]
+    return {"goals": goals, "goal_attacks": list(entries)}
+
+
+def attacks_doc(mutate):
+    doc = load_doc()
+    mutate(doc["attacks"])
+    return doc
+
+
+def surrogate(attacks, key):
+    attacks[3][key] = "\ud800"
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (attacks_doc(lambda a: a.__setitem__(2, "A->B")), "attacks[2]: must be an object"),
+        (attacks_doc(lambda a: a[1].pop("from")), "attacks[1]: missing key 'from'"),
+        (attacks_doc(lambda a: a[1].pop("to")), "attacks[1]: missing key 'to'"),
+        (attacks_doc(lambda a: a[1].pop("kinds")), "attacks[1]: missing key 'kinds'"),
+        (attacks_doc(lambda a: a[4].update({"to": 7})), "attacks[4]: 'from'/'to' must be strings"),
+        (attacks_doc(lambda a: surrogate(a, "from")),
+         "attacks[3]: holds a lone surrogate, which cannot be printed"),
+        (attacks_doc(lambda a: surrogate(a, "to")),
+         "attacks[3]: holds a lone surrogate, which cannot be printed"),
+        (attacks_doc(lambda a: a[0].update(kinds=[])),
+         "attacks[0].kinds: 'kinds' must be a nonempty list"),
+        (attacks_doc(lambda a: a[0].update(kinds="t")),
+         "attacks[0].kinds: 'kinds' must be a nonempty list"),
+        (attacks_doc(lambda a: a[0].update(kinds=["t", "x", "q"])),
+         "attacks[0].kinds: unknown incompatibility kind 'x'"),
+        (attacks_doc(lambda a: a.append({"from": "A", "to": "B", "kinds": ["s"]})),
+         "attacks[28]: pair (A, B) declared twice with different kinds"),
+        (goal_level_doc({"from": "a", "to": "zz", "kinds": ["t"]}),
+         "goal_attacks[(a, zz)]: unknown goal 'zz'"),
+        (goal_level_doc({"from": "a", "to": "a", "kinds": ["t"]}),
+         "goal_attacks[(a, a)]: a goal cannot conflict with itself"),
+        (goal_level_doc({"from": "a", "to": "b", "kinds": ["t"]},
+                        {"from": "b", "to": "a", "kinds": ["t", "s"]}),
+         "goal_attacks[(a, b)]: kinds for (a, b) disagree with the reverse direction"),
+        # Two faults in one entry: the check that runs first names the fault.
+        (attacks_doc(lambda a: a[5].update({"from": 1, "kinds": []})),
+         "attacks[5]: 'from'/'to' must be strings"),
+        (goal_level_doc({"from": "zz", "to": "zz", "kinds": ["t"]}),
+         "goal_attacks[(zz, zz)]: unknown goal 'zz'"),
+    ],
+)
+def test_attack_entry_faults_are_reported_verbatim(doc, message):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(doc)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize(
     "config, message",
     [
