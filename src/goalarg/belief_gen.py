@@ -96,8 +96,8 @@ def generate_beliefs(gaf_sc: GoalAF, selection: SelectionResult) -> tuple[Belief
 
     for g in sorted(comps(gaf_sc)):
         add(BeliefKind.NOT_INCOMP, (g,), "no-conflicts")
-    for (g, h) in sorted(gaf_sc.attacks):
-        add(BeliefKind.INCOMPAT, (g, h), "conflict-kinds", gaf_sc.incomp[(g, h)])
+    for pair, kinds in sorted(gaf_sc.attacks.items()):
+        add(BeliefKind.INCOMPAT, pair, "conflict-kinds", kinds)
     for g in sorted(selection.pursued):
         add(BeliefKind.MAX_UTIL, (g,), "max-utility")
     for g in sorted(set(gaf_sc.goals) - selection.pursued):

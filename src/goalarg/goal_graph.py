@@ -14,6 +14,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .errors import InputError
@@ -28,18 +29,22 @@ class Stage(Enum):
 
 @dataclass(frozen=True)
 class GoalAF:
-    """Goals, goal-level attacks with conflict-kind labels, and preferences.
+    """Goal preferences and goal-level attacks with their conflict kinds.
 
-    `stage` records whether preference filtering has been applied; the raw
-    stage is symmetric by construction, the filtered stage keeps at most
-    one direction per strictly ordered pair.
+    `pref` maps each goal to its preference, and `goals` lists its keys in
+    sorted order; `attacks` maps each (attacker, target) pair to its
+    conflict-kind labels.  `stage` records whether preference filtering
+    has been applied; the raw stage is symmetric by construction, the
+    filtered stage keeps at most one direction per strictly ordered pair.
     """
 
-    goals: tuple[str, ...]
-    attacks: frozenset[tuple[str, str]]
-    incomp: Mapping[tuple[str, str], frozenset[IncompatibilityKind]]
     pref: Mapping[str, Fraction]
+    attacks: Mapping[tuple[str, str], frozenset[IncompatibilityKind]]
     stage: Stage
+
+    @cached_property
+    def goals(self) -> tuple[str, ...]:
+        return tuple(sorted(self.pref))
 
 
 def derive_goal_af(gaf: GeneralAF) -> GoalAF:
@@ -58,8 +63,7 @@ def derive_goal_af(gaf: GeneralAF) -> GoalAF:
             plans[arg.claim].append(arg.id)
 
     none: frozenset[IncompatibilityKind] = frozenset()
-    attacks: set[tuple[str, str]] = set()
-    incomp: dict[tuple[str, str], frozenset[IncompatibilityKind]] = {}
+    attacks: dict[tuple[str, str], frozenset[IncompatibilityKind]] = {}
     for g, h in combinations(goal_ids, 2):
         if not plans[g] or not plans[h]:
             continue
@@ -70,12 +74,9 @@ def derive_goal_af(gaf: GeneralAF) -> GoalAF:
         ]
         if not all(pair_kinds):
             continue
-        attacks.add((g, h))
-        attacks.add((h, g))
-        incomp[(g, h)] = incomp[(h, g)] = none.union(*pair_kinds)
+        attacks[(g, h)] = attacks[(h, g)] = none.union(*pair_kinds)
 
-    pref = {g.id: g.preference for g in gaf.goals}
-    return GoalAF(goal_ids, frozenset(attacks), incomp, pref, Stage.RAW)
+    return GoalAF({g.id: g.preference for g in gaf.goals}, attacks, Stage.RAW)
 
 
 def apply_successful_attacks(goal_af: GoalAF) -> GoalAF:
@@ -87,8 +88,6 @@ def apply_successful_attacks(goal_af: GoalAF) -> GoalAF:
     """
     if goal_af.stage is not Stage.RAW:
         raise InputError("successful-attack filtering expects a raw-stage goal framework")
-    kept = frozenset(
-        (g, h) for (g, h) in goal_af.attacks if goal_af.pref[g] >= goal_af.pref[h]
-    )
-    incomp = {pair: goal_af.incomp[pair] for pair in kept}
-    return GoalAF(goal_af.goals, kept, incomp, dict(goal_af.pref), Stage.FILTERED)
+    pref = goal_af.pref
+    kept = {(g, h): kinds for (g, h), kinds in goal_af.attacks.items() if pref[g] >= pref[h]}
+    return GoalAF(pref, kept, Stage.FILTERED)

@@ -107,7 +107,7 @@ def export_dot(
     """
     if isinstance(af, GoalAF):
         nodes = [(g, f"{g}: {names[g]}" if names and g in names else g) for g in af.goals]
-        edges = [(a, b, format_kinds(af.incomp[(a, b)])) for (a, b) in sorted(af.attacks)]
+        edges = [(a, b, format_kinds(kinds)) for (a, b), kinds in sorted(af.attacks.items())]
     elif isinstance(af, ExplanatoryAF):
         nodes = [(arg.id, f"{arg.id}: {arg.claim}") for arg in af.arguments]
         edges = [(a, b, None) for (a, b) in sorted(af.defeats)]

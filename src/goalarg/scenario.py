@@ -328,7 +328,7 @@ def load_scenario(path: str | Path) -> Scenario:
     """Read and parse a scenario file; all numbers come in as fractions."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario: {exc}", str(path)) from exc
     try:
         doc = json.loads(text, parse_float=_exact)
@@ -396,8 +396,8 @@ def _kinds_list(kinds: frozenset[IncompatibilityKind]) -> list[str]:
 
 def _attack_dicts(goal_af: GoalAF) -> list[dict[str, Any]]:
     return [
-        {"from": a, "to": b, "kinds": _kinds_list(goal_af.incomp[(a, b)])}
-        for (a, b) in sorted(goal_af.attacks)
+        {"from": a, "to": b, "kinds": _kinds_list(kinds)}
+        for (a, b), kinds in sorted(goal_af.attacks.items())
     ]
 
 

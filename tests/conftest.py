@@ -87,8 +87,7 @@ def random_goal_af(rng: random.Random, max_goals: int = 15) -> GoalAF:
         g: Fraction(rng.randint(1, 20), 20) for g in goals
     }
     p = rng.choice([0.0, 0.1, 0.2, 0.4])
-    attacks: set[tuple[str, str]] = set()
-    incomp = {}
+    attacks = {}
     kinds_pool = ["t", "r", "s"]
     for i, g in enumerate(goals):
         for h in goals[i + 1:]:
@@ -96,10 +95,14 @@ def random_goal_af(rng: random.Random, max_goals: int = 15) -> GoalAF:
                 labels = kinds_from_letters(
                     rng.sample(kinds_pool, rng.randint(1, 3))
                 )
-                attacks |= {(g, h), (h, g)}
-                incomp[(g, h)] = labels
-                incomp[(h, g)] = labels
-    return GoalAF(goals, frozenset(attacks), incomp, pref, Stage.RAW)
+                attacks[(g, h)] = attacks[(h, g)] = labels
+    return GoalAF(pref, attacks, Stage.RAW)
+
+
+def labeled_goal_af(pref, pairs, stage=Stage.FILTERED, labels=kinds_from_letters("t")):
+    """A goal framework over the goals of `pref` whose attacks are `pairs`,
+    each labeled `labels`."""
+    return GoalAF(pref, dict.fromkeys(pairs, labels), stage)
 
 
 def random_general_af(rng: random.Random, max_goals: int = 7) -> GeneralAF:

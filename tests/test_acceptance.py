@@ -62,15 +62,17 @@ def test_criterion_1_goal_graph_derivation():
         frozenset({"g3", "g4"}),
     }
     assert oracles.conflict_pairs(raw) == expected_pairs
-    assert raw.attacks == {(a, b) for pair in expected_pairs for a in pair for b in pair if a != b}
+    assert raw.attacks.keys() == {
+        (a, b) for pair in expected_pairs for a in pair for b in pair if a != b
+    }
     expected_labels = {
         frozenset({"g3", "g2"}): kinds_from_letters("s"),
         frozenset({"g3", "g4"}): kinds_from_letters("t"),
         frozenset({"g1", "g4"}): kinds_from_letters("tr"),
         frozenset({"g2", "g4"}): kinds_from_letters("tr"),
     }
-    for (a, b) in raw.attacks:
-        assert raw.incomp[(a, b)] == expected_labels[frozenset({a, b})]
+    for (a, b), labels in raw.attacks.items():
+        assert labels == expected_labels[frozenset({a, b})]
     print("criterion 1 (goal-graph derivation incl. conflict labels): PASS")
 
 

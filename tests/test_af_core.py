@@ -106,6 +106,9 @@ def test_validation_rejects_self_attacks():
 def test_validation_rejects_unknown_endpoints():
     with pytest.raises(InputError, match="unknown node"):
         AbstractAF.of(["a"], [("a", "z")])
+    with pytest.raises(InputError) as err:
+        AbstractAF.of(["a"], [("x", "a")])
+    assert str(err.value) == "attack (x, a): unknown node 'x'"
 
 
 @settings(max_examples=200)

@@ -5,11 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cleaner_general_af, random_goal_af
+from conftest import cleaner_general_af, labeled_goal_af, random_goal_af
 from goalarg import (
     Belief,
     BeliefKind,
-    GoalAF,
     InputError,
     Stage,
     apply_successful_attacks,
@@ -59,18 +58,14 @@ EXPECTED_ATOMS = {
 }
 
 
-def direct(pref, attacks, incomp=None, stage=Stage.FILTERED):
-    return GoalAF(tuple(sorted(pref)), frozenset(attacks), incomp or {}, pref, stage)
-
-
 def test_comps_worked_example(cleaner_filtered):
     assert comps(cleaner_filtered) == {"g5"}
 
 
 def test_comps_disconnected_and_mutual():
-    lonely = direct({"a": Fraction(1, 2), "b": Fraction(1, 3)}, set())
+    lonely = labeled_goal_af({"a": Fraction(1, 2), "b": Fraction(1, 3)}, set())
     assert comps(lonely) == {"a", "b"}
-    duel = direct(
+    duel = labeled_goal_af(
         {"a": Fraction(1, 2), "b": Fraction(1, 2)}, {("a", "b"), ("b", "a")}
     )
     assert comps(duel) == frozenset()
@@ -83,16 +78,16 @@ def test_eval_pref_worked_example(cleaner_filtered):
 
 
 def test_eval_pref_symmetric_and_single():
-    sym = direct(
+    sym = labeled_goal_af(
         {"a": Fraction(1, 2), "b": Fraction(1, 2)}, {("a", "b"), ("b", "a")}
     )
     assert eval_pref(sym) == frozenset()
-    one = direct({"a": Fraction(1, 2), "b": Fraction(1, 3)}, {("a", "b")})
+    one = labeled_goal_af({"a": Fraction(1, 2), "b": Fraction(1, 3)}, {("a", "b")})
     assert eval_pref(one) == {("a", "b")}
 
 
 def test_stage_is_checked():
-    raw = direct({"a": Fraction(1, 2)}, set(), stage=Stage.RAW)
+    raw = labeled_goal_af({"a": Fraction(1, 2)}, set(), stage=Stage.RAW)
     with pytest.raises(InputError):
         comps(raw)
     with pytest.raises(InputError):
@@ -107,12 +102,12 @@ def test_worked_example_beliefs_exactly(cleaner_beliefs):
 
 
 def test_empty_framework_yields_no_beliefs():
-    empty = direct({}, set())
+    empty = labeled_goal_af({}, set())
     assert generate_beliefs(empty, select(empty)) == ()
 
 
 def test_isolated_pursued_goal():
-    solo = direct({"g": Fraction(1, 2)}, set())
+    solo = labeled_goal_af({"g": Fraction(1, 2)}, set())
     beliefs = generate_beliefs(solo, select(solo))
     assert {atom(b) for b in beliefs} == {
         (BeliefKind.NOT_INCOMP, ("g",), None),
@@ -122,10 +117,10 @@ def test_isolated_pursued_goal():
 
 def test_equal_preference_pair_generates_both_directions():
     labels = kinds_from_letters("t")
-    duel = direct(
+    duel = labeled_goal_af(
         {"a": Fraction(1, 2), "b": Fraction(1, 2)},
         {("a", "b"), ("b", "a")},
-        {("a", "b"): labels, ("b", "a"): labels},
+        labels=labels,
     )
     beliefs = generate_beliefs(duel, select(duel))
     atoms = {atom(b) for b in beliefs}
@@ -170,7 +165,7 @@ def test_belief_set_cardinality_formula():
 
 
 def test_selection_must_belong_to_framework(cleaner_filtered):
-    foreign = select(direct({"zz": Fraction(1, 2)}, set()))
+    foreign = select(labeled_goal_af({"zz": Fraction(1, 2)}, set()))
     with pytest.raises(InputError):
         generate_beliefs(cleaner_filtered, foreign)
 

@@ -418,6 +418,12 @@ def lone_surrogate_attack(doc):
     doc["attacks"].append({"from": "A", "to": "\ud800", "kinds": ["t"]})
 
 
+def latin1_predicate(doc):
+    """The document written in Latin-1, with a predicate UTF-8 cannot decode."""
+    doc["goals"][0]["predicate"] = "g\xe9"
+    return json.dumps(doc, ensure_ascii=False).encode("latin-1")
+
+
 @pytest.mark.parametrize(
     "command",
     [["validate"], ["select"], ["report"], ["export", "--dot", "goals"]],
@@ -439,17 +445,24 @@ def lone_surrogate_attack(doc):
         lambda d: "[" * 100_000 + "]" * 100_000,
         lone_surrogate_goal,
         lone_surrogate_attack,
+        latin1_predicate,
+        lambda d: json.dumps(d).encode("utf-16"),
     ],
     ids=["main-goal-list", "sub-arg-list", "pref-1e999999", "pref-1e-5000",
          "deep-chain", "deep-cycle", "pref-5000-digit-int", "pref-sum-7200-digits",
          "pref-1e-9999999", "pref-literal-1e-9999999", "nested-100000-deep",
-         "lone-surrogate-id", "lone-surrogate-attack"],
+         "lone-surrogate-id", "lone-surrogate-attack", "latin-1-file", "utf-16-file"],
 )
 def test_hostile_inputs_end_in_an_exit_code(run, tmp_path, command, mutate):
     doc = cleaner_doc()
-    text = mutate(doc)  # a mutation returns the text when JSON cannot hold it
+    # A mutation returns the file's text, or its bytes, when json.dumps
+    # of the document would not give them.
+    text = mutate(doc)
     path = tmp_path / "scenario.json"
-    path.write_text(text or json.dumps(doc), encoding="utf-8")
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text or json.dumps(doc), encoding="utf-8")
     code, _out, err = run(*command, path)
     assert code in (0, 1)
     assert sum(line.startswith("error:") for line in err.splitlines()) <= 1

@@ -44,14 +44,14 @@ def test_derived_incompatibility_labels():
     raw = derive_goal_af(cleaner_general_af())
     for pair, labels in EXPECTED_LABELS.items():
         a, b = sorted(pair)
-        assert raw.incomp[(a, b)] == labels
-        assert raw.incomp[(b, a)] == labels
+        assert raw.attacks[(a, b)] == labels
+        assert raw.attacks[(b, a)] == labels
 
 
 def test_no_plan_attacks_means_no_goal_attacks():
     gaf = GeneralAF(CLEANER_GOALS, cleaner_general_af().args, {})
     raw = derive_goal_af(gaf)
-    assert raw.attacks == frozenset()
+    assert raw.attacks == {}
 
 
 def test_goal_without_plans_gets_no_attacks():
@@ -74,18 +74,19 @@ def test_partial_plan_conflicts_do_not_lift():
         ("Q", "P1"): kinds_from_letters("t"),
     }
     raw = derive_goal_af(GeneralAF(goals, args, attacks))
-    assert raw.attacks == frozenset()
+    assert raw.attacks == {}
 
 
 def test_successful_attacks_match_worked_example():
     filtered = apply_successful_attacks(derive_goal_af(cleaner_general_af()))
     assert filtered.stage is Stage.FILTERED
-    assert filtered.attacks == {
-        ("g3", "g2"), ("g1", "g4"), ("g3", "g4"), ("g2", "g4"),
-    }
     # labels carried over unchanged
-    assert filtered.incomp[("g3", "g2")] == kinds_from_letters("s")
-    assert filtered.incomp[("g1", "g4")] == kinds_from_letters("tr")
+    assert filtered.attacks == {
+        ("g3", "g2"): kinds_from_letters("s"),
+        ("g1", "g4"): kinds_from_letters("tr"),
+        ("g3", "g4"): kinds_from_letters("t"),
+        ("g2", "g4"): kinds_from_letters("tr"),
+    }
 
 
 def test_equal_preference_keeps_both_directions():
@@ -96,7 +97,8 @@ def test_equal_preference_keeps_both_directions():
         ("Q", "P"): kinds_from_letters("t"),
     }
     filtered = apply_successful_attacks(derive_goal_af(GeneralAF(goals, args, attacks)))
-    assert filtered.attacks == {("ga", "gb"), ("gb", "ga")}
+    t = kinds_from_letters("t")
+    assert filtered.attacks == {("ga", "gb"): t, ("gb", "ga"): t}
 
 
 def test_fixture_preference_orderings_hold():
@@ -118,7 +120,7 @@ def test_filtering_is_monotone_and_preserves_conflict_pairs():
     for _ in range(50):
         raw = random_goal_af(rng, max_goals=10)
         filtered = apply_successful_attacks(raw)
-        assert filtered.attacks <= raw.attacks
+        assert filtered.attacks.items() <= raw.attacks.items()
         assert conflict_pairs(filtered) == conflict_pairs(raw)
 
 
@@ -126,13 +128,7 @@ def test_filtering_invariant_under_monotone_rescaling():
     rng = random.Random(11)
     for _ in range(50):
         raw = random_goal_af(rng, max_goals=10)
-        halved = type(raw)(
-            raw.goals,
-            raw.attacks,
-            dict(raw.incomp),
-            {g: p / 2 for g, p in raw.pref.items()},
-            raw.stage,
-        )
+        halved = type(raw)({g: p / 2 for g, p in raw.pref.items()}, raw.attacks, raw.stage)
         assert (
             apply_successful_attacks(raw).attacks
             == apply_successful_attacks(halved).attacks

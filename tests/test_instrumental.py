@@ -87,6 +87,13 @@ def test_preference_out_of_range_is_reported():
     assert any("preference" in i.message for i in validate(gaf))
 
 
+def test_empty_predicate_is_reported():
+    goals = (GoalDecl("g", "", Fraction(1, 2)),)
+    assert [str(i) for i in validate(GeneralAF(goals, (), {}))] == [
+        "error at goals[0] (g): empty predicate"
+    ]
+
+
 def test_asymmetric_attack_warns_but_passes():
     gaf = GeneralAF(
         CLEANER_GOALS, CLEANER_ARGS, {("A", "B"): kinds_from_letters("t")}

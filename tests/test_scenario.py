@@ -74,6 +74,25 @@ def test_main_goals_default_on_direct_path(tmp_path):
     assert scenario.main_goals == {"a", "b"}
 
 
+def test_main_goals_default_with_a_sub_plan_and_a_standalone_plan(tmp_path):
+    # b's plan Q is a sub-plan of a's plan P, and b also has the standalone
+    # plan R: one sub-plan is enough to make b not main.
+    doc = {
+        "goals": [
+            {"id": "a", "predicate": "a()", "preference": 0.5},
+            {"id": "b", "predicate": "b()", "preference": 0.5},
+        ],
+        "arguments": [
+            {"id": "P", "claim": "a", "sub_args": ["Q"]},
+            {"id": "Q", "claim": "b"},
+            {"id": "R", "claim": "b"},
+        ],
+        "attacks": [],
+    }
+    scenario = load_scenario(write(tmp_path, doc))
+    assert scenario.main_goals == {"a"}
+
+
 def test_direct_goal_attacks_are_mirrored(tmp_path):
     doc = {
         "goals": [
@@ -86,8 +105,7 @@ def test_direct_goal_attacks_are_mirrored(tmp_path):
     assert scenario.general.attacks == {("a", "b"): {T}, ("b", "a"): {T}}
     raw = run_pipeline(scenario).goal_af_raw
     assert raw.stage is Stage.RAW
-    assert raw.attacks == {("a", "b"), ("b", "a")}
-    assert raw.incomp[("a", "b")] == raw.incomp[("b", "a")] == {T}
+    assert raw.attacks == {("a", "b"): {T}, ("b", "a"): {T}}
 
 
 def random_goal_level_doc(rng):
@@ -120,8 +138,7 @@ def test_goal_level_documents_derive_their_declared_conflicts():
         for e in doc["goal_attacks"]:
             kinds = {IncompatibilityKind(k) for k in e["kinds"]}
             declared[(e["from"], e["to"])] = declared[(e["to"], e["from"])] = kinds
-        assert raw.attacks == set(declared)
-        assert raw.incomp == declared
+        assert raw.attacks == declared
         assert raw.pref == {g["id"]: Fraction(g["preference"]) for g in doc["goals"]}
 
 
@@ -243,16 +260,22 @@ def test_config_errors_name_the_bad_value(config, message):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("raw", ["1e999999", "1e-5000", "1e-9999999", "2.5E+1_000_000_000"])
+@pytest.mark.parametrize(
+    "raw",
+    ["1e999999", "1e-5000", "1e-9999999", "2.5E+1_000_000_000",
+     pytest.param("1/" + str(2**14000), id="1/2**14000"), "9e4300"],
+)
 def test_unprintable_preferences_are_rejected(raw):
     # 1e999999 is out of range and 1e-5000 in range, but neither value can
     # be converted to text under the interpreter's int-to-str digit limit.
     # The exponent alone rejects them, before 10**exp is ever built.
+    # 1/2**14000 (in range) and 9e4300 (out of range) do get built, and the
+    # check that the value prints rejects them.
     doc = load_doc()
     doc["goals"][0]["preference"] = raw
-    with pytest.raises(ScenarioError, match="digits") as err:
+    with pytest.raises(ScenarioError) as err:
         parse_scenario(doc)
-    assert err.value.location == "goals[0].preference"
+    assert str(err.value) == "goals[0].preference: preference has more digits than can be printed"
 
 
 def test_unprintable_utility_sums_are_rejected():
@@ -311,6 +334,21 @@ def test_duplicate_attack_pair_with_identical_kinds_is_tolerated(tmp_path):
 def test_missing_file():
     with pytest.raises(ScenarioError, match="cannot read"):
         load_scenario("/nonexistent/nowhere.json")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [json.dumps({"goals": []}).replace("[]", '["g\xe9"]').encode("latin-1"),
+     json.dumps({"goals": []}).encode("utf-16")],
+    ids=["latin-1", "utf-16"],
+)
+def test_non_utf8_file_is_reported_at_its_path(tmp_path, data):
+    path = tmp_path / "s.json"
+    path.write_bytes(data)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert err.value.location == str(path)
+    assert str(err.value).startswith(f"{path}: cannot read scenario: 'utf-8' codec can't decode")
 
 
 def test_config_defaults_and_values(tmp_path):

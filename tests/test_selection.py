@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from conftest import cleaner_general_af, random_goal_af
+from conftest import cleaner_general_af, labeled_goal_af, random_goal_af
 from goalarg import (
     GoalAF,
     InputError,
@@ -32,12 +32,6 @@ def cleaner_filtered():
     return apply_successful_attacks(derive_goal_af(cleaner_general_af()))
 
 
-def direct_filtered(pref, attacks):
-    goals = tuple(sorted(pref))
-    incomp = {}
-    return GoalAF(goals, frozenset(attacks), incomp, pref, Stage.FILTERED)
-
-
 def test_worked_example_selection(cleaner_filtered):
     result = select(cleaner_filtered)
     assert result.cf_count == 14
@@ -57,21 +51,21 @@ def test_worked_example_against_oracle(cleaner_filtered):
 
 
 def test_single_goal_is_pursued():
-    result = select(direct_filtered({"g": Fraction(1, 3)}, set()))
+    result = select(labeled_goal_af({"g": Fraction(1, 3)}, set()))
     assert result.pursued == {"g"}
     assert result.cf_count == 2
 
 
 def test_two_conflicting_goals_higher_preference_wins():
     pref = {"a": Fraction("0.9"), "b": Fraction("0.4")}
-    result = select(direct_filtered(pref, {("a", "b")}))
+    result = select(labeled_goal_af(pref, {("a", "b")}))
     assert result.cf_count == 3
     assert result.pursued == {"a"}
     assert result.all_max_extensions == (frozenset({"a"}),)
 
 
 def test_empty_goal_set():
-    result = select(direct_filtered({}, set()))
+    result = select(labeled_goal_af({}, set()))
     assert result.pursued == frozenset()
     assert result.cf_count == 1
     assert result.winning_utility == 0
@@ -141,11 +135,7 @@ def test_conflict_free_extra_goal_joins_every_maximum():
         before = select(filtered)
         extra = "zz_new"
         grown = GoalAF(
-            filtered.goals + (extra,),
-            filtered.attacks,
-            dict(filtered.incomp),
-            {**filtered.pref, extra: Fraction(1, 4)},
-            Stage.FILTERED,
+            {**filtered.pref, extra: Fraction(1, 4)}, filtered.attacks, Stage.FILTERED
         )
         after = select(grown)
         assert after.cf_count == 2 * before.cf_count
@@ -161,11 +151,7 @@ def test_argmax_family_invariant_under_positive_scaling():
         filtered = apply_successful_attacks(random_goal_af(rng, max_goals=8))
         # scaling by 1/3 keeps every preference inside (0, 1]
         scaled = GoalAF(
-            filtered.goals,
-            filtered.attacks,
-            dict(filtered.incomp),
-            {g: p / 3 for g, p in filtered.pref.items()},
-            Stage.FILTERED,
+            {g: p / 3 for g, p in filtered.pref.items()}, filtered.attacks, Stage.FILTERED
         )
         assert set(select(filtered).all_max_extensions) == set(
             select(scaled).all_max_extensions
@@ -187,7 +173,7 @@ def random_filtered(rng, n):
         for h in goals[i + 1:]:
             if rng.random() < p:
                 attacks |= rng.choice([{(g, h)}, {(h, g)}, {(g, h), (h, g)}])
-    return direct_filtered(pref, attacks)
+    return labeled_goal_af(pref, attacks)
 
 
 def test_select_matches_power_set_oracle_under_both_utilities():
