@@ -196,14 +196,21 @@ def construct_arguments(
     The support is that one instance plus its body: it derives the claim,
     holds no rule for the opposite claim, and stops deriving the claim if
     any element is dropped, so it is derivable, consistent and minimal by
-    construction.
+    construction.  Body beliefs are checked by identity against `beliefs`;
+    only an instance with a body belief that is not one of them is checked
+    by equality, so the beliefs are hashed only when copies come in.
     """
-    belief_set = set(beliefs)
+    beliefs = tuple(beliefs)
+    given = set(map(id, beliefs))
+    equal: set[Belief] | None = None
     out: list[ExplanatoryArgument] = []
-    for inst in instances:
-        if not set(inst.body) <= belief_set:
-            raise InputError(f"instance {inst.id} was not triggered from these beliefs")
-        out.append(ExplanatoryArgument(inst, len(out) + 1))
+    for index, inst in enumerate(instances, 1):
+        if not given.issuperset(map(id, inst.body)):
+            if equal is None:
+                equal = set(beliefs)
+            if not equal.issuperset(inst.body):
+                raise InputError(f"instance {inst.id} was not triggered from these beliefs")
+        out.append(ExplanatoryArgument(inst, index))
     return tuple(out)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import InputError
 from .instrumental import GeneralAF, IncompatibilityKind
@@ -62,19 +62,21 @@ def derive_goal_af(gaf: GeneralAF) -> GoalAF:
         if arg.claim in plans:
             plans[arg.claim].append(arg.id)
 
-    none: frozenset[IncompatibilityKind] = frozenset()
+    get = gaf.attacks.get
     attacks: dict[tuple[str, str], frozenset[IncompatibilityKind]] = {}
     for g, h in combinations(goal_ids, 2):
         if not plans[g] or not plans[h]:
             continue
-        pair_kinds = [
-            gaf.attacks.get((a, b), none) | gaf.attacks.get((b, a), none)
-            for a in plans[g]
-            for b in plans[h]
-        ]
-        if not all(pair_kinds):
-            continue
-        attacks[(g, h)] = attacks[(h, g)] = none.union(*pair_kinds)
+        met = set()  # the label sets seen, and None for an undeclared direction
+        for a, b in product(plans[g], plans[h]):
+            forward, backward = get((a, b)), get((b, a))
+            if not (forward or backward):  # an unattacked plan pair: no goal attack
+                break
+            met.add(forward)
+            met.add(backward)
+        else:
+            met.discard(None)
+            attacks[(g, h)] = attacks[(h, g)] = frozenset().union(*met)
 
     return GoalAF({g.id: g.preference for g in gaf.goals}, attacks, Stage.RAW)
 

@@ -9,7 +9,7 @@ out of scope here; scenario authors state the labeled relation directly.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -118,7 +118,14 @@ def validate(gaf: GeneralAF) -> list[ValidationIssue]:
                     )
                 )
 
-    issues.extend(_sub_arg_cycles(gaf))
+    for cycle in _sub_arg_cycles(gaf):
+        issues.append(
+            ValidationIssue(
+                "error",
+                f"arguments ({cycle[0]})",
+                "cyclic sub-argument relation: " + " -> ".join(cycle),
+            )
+        )
 
     def attack_issue(severity: str, pair: tuple[str, str], message: str) -> None:
         # The location is formatted only for a pair that has an issue.
@@ -142,15 +149,16 @@ def validate(gaf: GeneralAF) -> list[ValidationIssue]:
     return issues
 
 
-def _sub_arg_cycles(gaf: GeneralAF) -> list[ValidationIssue]:
-    """Depth-first search with an explicit stack, so chains of any depth
-    are checked without recursion."""
+def _sub_arg_cycles(gaf: GeneralAF) -> Iterator[list[str]]:
+    """Yield each cycle the depth-first search closes, as the path from a
+    node back to itself.  The search uses an explicit stack, so chains of
+    any depth are checked without recursion; a plan with no sub-arguments
+    closes no cycle and is never a root."""
     graph = {a.id: a.sub_args for a in gaf.args}
     state: dict[str, int] = {}  # 0 visiting, 1 done
-    issues: list[ValidationIssue] = []
 
     for root in sorted(graph):
-        if root in state:
+        if root in state or not graph[root]:
             continue
         state[root] = 0
         path = [root]
@@ -158,14 +166,7 @@ def _sub_arg_cycles(gaf: GeneralAF) -> list[ValidationIssue]:
         while pending:
             for child in pending[-1]:
                 if state.get(child) == 0:
-                    cycle = path[path.index(child):] + [child]
-                    issues.append(
-                        ValidationIssue(
-                            "error",
-                            f"arguments ({child})",
-                            "cyclic sub-argument relation: " + " -> ".join(cycle),
-                        )
-                    )
+                    yield path[path.index(child):] + [child]
                 elif child in graph and child not in state:
                     state[child] = 0
                     path.append(child)
@@ -174,12 +175,29 @@ def _sub_arg_cycles(gaf: GeneralAF) -> list[ValidationIssue]:
             else:
                 state[path.pop()] = 1
                 pending.pop()
-    return issues
+
+
+def _is_valid(gaf: GeneralAF) -> bool:
+    """Whether `validate` finds no error, decided without building any text."""
+    goal_ids = {g.id for g in gaf.goals}
+    arg_ids = {a.id for a in gaf.args}
+    return (
+        len(goal_ids) == len(gaf.goals)
+        and len(arg_ids) == len(gaf.args)
+        and all(g.predicate and 0 < g.preference <= 1 for g in gaf.goals)
+        and all(a.claim in goal_ids and arg_ids.issuperset(a.sub_args) for a in gaf.args)
+        and all(
+            labels and a != b and a in arg_ids and b in arg_ids
+            for (a, b), labels in gaf.attacks.items()
+        )
+        and next(_sub_arg_cycles(gaf), None) is None
+    )
 
 
 def require_valid(gaf: GeneralAF) -> GeneralAF:
-    """Return the framework unchanged, or raise with all error-level issues."""
-    errors = [i for i in validate(gaf) if i.severity == "error"]
-    if errors:
-        raise ValidationError(errors)
-    return gaf
+    """Return the framework unchanged, or raise with all error-level issues.
+
+    The text-free `_is_valid` decides; `validate` runs only to word a failure."""
+    if _is_valid(gaf):
+        return gaf
+    raise ValidationError([i for i in validate(gaf) if i.severity == "error"])

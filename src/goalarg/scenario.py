@@ -26,6 +26,7 @@ import time
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 from typing import Any
 
@@ -132,27 +133,35 @@ def _parse_preference(raw: Any, location: str) -> Fraction:
 
 
 def _parse_goals(doc: Mapping[str, Any]) -> tuple[GoalDecl, ...]:
+    """Like the attack loops, each check formats its text only when it raises."""
     raw = doc.get("goals")
     _expect(isinstance(raw, list) and raw, "'goals' must be a nonempty list", "goals")
     out: list[GoalDecl] = []
     seen: set[str] = set()
     for i, entry in enumerate(raw):
-        loc = f"goals[{i}]"
-        _expect(isinstance(entry, dict), "must be an object", loc)
+        if not isinstance(entry, dict):
+            raise ScenarioError("must be an object", f"goals[{i}]")
         for key in ("id", "predicate", "preference"):
-            _expect(key in entry, f"missing key '{key}'", loc)
-        gid, predicate = entry["id"], entry["predicate"]
-        _expect(isinstance(gid, str) and gid, "'id' must be a nonempty string", f"{loc}.id")
-        _expect(not _has_surrogate(gid), _SURROGATE_MESSAGE, f"{loc}.id")
-        _expect(gid not in seen, f"duplicate goal id {gid!r}", f"{loc}.id")
+            if key not in entry:
+                raise ScenarioError(f"missing key '{key}'", f"goals[{i}]")
+        gid, predicate, preference = entry["id"], entry["predicate"], entry["preference"]
+        if not (isinstance(gid, str) and gid):
+            raise ScenarioError("'id' must be a nonempty string", f"goals[{i}].id")
+        if _has_surrogate(gid):
+            raise ScenarioError(_SURROGATE_MESSAGE, f"goals[{i}].id")
+        if gid in seen:
+            raise ScenarioError(f"duplicate goal id {gid!r}", f"goals[{i}].id")
         seen.add(gid)
-        _expect(
-            isinstance(predicate, str) and bool(predicate),
-            "'predicate' must be a nonempty string",
-            f"{loc}.predicate",
-        )
-        _expect(not _has_surrogate(predicate), _SURROGATE_MESSAGE, f"{loc}.predicate")
-        out.append(GoalDecl(gid, predicate, _parse_preference(entry["preference"], f"{loc}.preference")))
+        if not (isinstance(predicate, str) and predicate):
+            raise ScenarioError("'predicate' must be a nonempty string", f"goals[{i}].predicate")
+        if _has_surrogate(predicate):
+            raise ScenarioError(_SURROGATE_MESSAGE, f"goals[{i}].predicate")
+        # A fraction read from the file, in range, whose denominator is below
+        # 2**64 (so it prints in under 64 places) passes as it is.
+        if not (type(preference) is Fraction
+                and 0 < preference.numerator <= preference.denominator < 2**64):
+            preference = _parse_preference(preference, f"goals[{i}].preference")
+        out.append(GoalDecl(gid, predicate, preference))
     # A utility sums at most len(out) preferences, so its denominator divides
     # their LCM, its numerator is at most len(out) times that, and its decimal
     # places are at most the LCM's count of factor 2 or of 5, whichever is more.
@@ -168,38 +177,65 @@ _LABEL_SETS = {
     frozenset(letters): kinds_from_letters(letters)
     for letters in ("t", "r", "s", "tr", "ts", "rs", "trs")
 }
+# The same sets keyed by every letter tuple without a repeat, in any order
+# (("r", "t") as well as ("t", "r")): one lookup accepts a usual `kinds` list.
+_SPELLED_SETS = {
+    spelling: _LABEL_SETS[frozenset(spelling)]
+    for n in (1, 2, 3)
+    for spelling in permutations("trs", n)
+}
 
 
 def _parse_attack_entries(
     raw: Any, key: str
 ) -> dict[tuple[str, str], frozenset[IncompatibilityKind]]:
-    """Here and in `_one_plan_per_goal`, checks format text only when they raise."""
+    """Each entry gets one cheap test: a plain dict with ASCII string ends,
+    a list of kinds spelled without a repeated letter, and a pair that is
+    new or repeats its label set.  Any other entry goes through the located
+    checks of `_checked_attack_entry`, which name its first fault."""
     _expect(isinstance(raw, list), f"'{key}' must be a list", key)
     attacks: dict[tuple[str, str], frozenset[IncompatibilityKind]] = {}
     for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise ScenarioError("must be an object", f"{key}[{i}]")
-        for field_name in ("from", "to", "kinds"):
-            if field_name not in entry:
-                raise ScenarioError(f"missing key '{field_name}'", f"{key}[{i}]")
-        source, target = entry["from"], entry["to"]
-        if not (isinstance(source, str) and isinstance(target, str)):
-            raise ScenarioError("'from'/'to' must be strings", f"{key}[{i}]")
-        if _has_surrogate(source) or _has_surrogate(target):
-            raise ScenarioError(_SURROGATE_MESSAGE, f"{key}[{i}]")
-        letters = entry["kinds"]
-        if not (isinstance(letters, list) and letters):
-            raise ScenarioError("'kinds' must be a nonempty list", f"{key}[{i}].kinds")
-        for letter in letters:
-            if letter not in ("t", "r", "s"):
-                raise ScenarioError(f"unknown incompatibility kind {letter!r}", f"{key}[{i}].kinds")
-        kinds = _LABEL_SETS[frozenset(letters)]
-        pair = (source, target)
-        if attacks.get(pair, kinds) != kinds:
-            raise ScenarioError(f"pair ({source}, {target}) declared twice with different kinds",
-                                f"{key}[{i}]")
+        if type(entry) is dict:
+            source, target, letters = entry.get("from"), entry.get("to"), entry.get("kinds")
+            if (type(source) is str and type(target) is str and type(letters) is list
+                    and source.isascii() and target.isascii()):
+                try:
+                    kinds = _SPELLED_SETS.get(tuple(letters))
+                except TypeError:  # an unhashable letter
+                    kinds = None
+                if kinds is not None and attacks.setdefault((source, target), kinds) is kinds:
+                    continue
+        pair, kinds = _checked_attack_entry(entry, f"{key}[{i}]", attacks)
         attacks[pair] = kinds
     return attacks
+
+
+def _checked_attack_entry(
+    entry: Any, where: str, attacks: Mapping[tuple[str, str], frozenset[IncompatibilityKind]]
+) -> tuple[tuple[str, str], frozenset[IncompatibilityKind]]:
+    """Check one attack entry against the ones before it; here and in
+    `_one_plan_per_goal`, checks format text only when they raise."""
+    if not isinstance(entry, dict):
+        raise ScenarioError("must be an object", where)
+    for field_name in ("from", "to", "kinds"):
+        if field_name not in entry:
+            raise ScenarioError(f"missing key '{field_name}'", where)
+    source, target = entry["from"], entry["to"]
+    if not (isinstance(source, str) and isinstance(target, str)):
+        raise ScenarioError("'from'/'to' must be strings", where)
+    if _has_surrogate(source) or _has_surrogate(target):
+        raise ScenarioError(_SURROGATE_MESSAGE, where)
+    letters = entry["kinds"]
+    if not (isinstance(letters, list) and letters):
+        raise ScenarioError("'kinds' must be a nonempty list", f"{where}.kinds")
+    for letter in letters:
+        if letter not in ("t", "r", "s"):
+            raise ScenarioError(f"unknown incompatibility kind {letter!r}", f"{where}.kinds")
+    kinds = _LABEL_SETS[frozenset(letters)]
+    if attacks.get((source, target), kinds) != kinds:
+        raise ScenarioError(f"pair ({source}, {target}) declared twice with different kinds", where)
+    return (source, target), kinds
 
 
 def _parse_arguments(doc: Mapping[str, Any]) -> tuple[InstrumentalArgDecl, ...]:
@@ -207,21 +243,23 @@ def _parse_arguments(doc: Mapping[str, Any]) -> tuple[InstrumentalArgDecl, ...]:
     _expect(isinstance(raw, list), "'arguments' must be a list", "arguments")
     out: list[InstrumentalArgDecl] = []
     for i, entry in enumerate(raw):
-        loc = f"arguments[{i}]"
-        _expect(isinstance(entry, dict), "must be an object", loc)
+        if not isinstance(entry, dict):
+            raise ScenarioError("must be an object", f"arguments[{i}]")
         for key in ("id", "claim"):
-            _expect(key in entry, f"missing key '{key}'", loc)
-        _expect(
-            isinstance(entry["id"], str) and isinstance(entry["claim"], str),
-            "'id' and 'claim' must be strings",
-            loc,
-        )
-        _expect(not _has_surrogate(entry["id"]), _SURROGATE_MESSAGE, loc)
+            if key not in entry:
+                raise ScenarioError(f"missing key '{key}'", f"arguments[{i}]")
+        arg_id, claim = entry["id"], entry["claim"]
+        if not (isinstance(arg_id, str) and isinstance(claim, str)):
+            raise ScenarioError("'id' and 'claim' must be strings", f"arguments[{i}]")
+        if _has_surrogate(arg_id):
+            raise ScenarioError(_SURROGATE_MESSAGE, f"arguments[{i}]")
         sub = entry.get("sub_args", [])
-        _expect(isinstance(sub, list), "'sub_args' must be a list", f"{loc}.sub_args")
+        if not isinstance(sub, list):
+            raise ScenarioError("'sub_args' must be a list", f"arguments[{i}].sub_args")
         for j, sub_id in enumerate(sub):
-            _expect(isinstance(sub_id, str), "must be a string", f"{loc}.sub_args[{j}]")
-        out.append(InstrumentalArgDecl(entry["id"], entry["claim"], tuple(sub)))
+            if not isinstance(sub_id, str):
+                raise ScenarioError("must be a string", f"arguments[{i}].sub_args[{j}]")
+        out.append(InstrumentalArgDecl(arg_id, claim, tuple(sub)))
     return tuple(out)
 
 

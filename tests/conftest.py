@@ -126,3 +126,26 @@ def random_general_af(rng: random.Random, max_goals: int = 7) -> GeneralAF:
                 labels = kinds_from_letters(rng.sample("trs", rng.randint(1, 3)))
                 attacks[(a.id, b.id)] = attacks[(b.id, a.id)] = labels
     return GeneralAF(goals, plans, attacks)
+
+
+def random_loose_general_af(rng: random.Random, max_goals: int = 6) -> GeneralAF:
+    """A random plan level without the shape `random_general_af` keeps: an
+    attack may go one way only, carry its own labels in each direction, or
+    join two plans of one goal; a plan may claim an undeclared goal, and a
+    goal may have no plans."""
+    goals = tuple(
+        GoalDecl(f"g{i}", f"goal{i}()", Fraction(rng.randint(1, 10), 10))
+        for i in range(rng.randint(1, max_goals))
+    )
+    claims = [g.id for g in goals] + ["undeclared"]
+    plans = tuple(
+        InstrumentalArgDecl(f"p{j}", rng.choice(claims)) for j in range(rng.randint(0, 10))
+    )
+    p = rng.choice([0.3, 0.6, 0.9, 1.0])
+    attacks = {
+        (a.id, b.id): kinds_from_letters(rng.sample("trs", rng.randint(1, 3)))
+        for a in plans
+        for b in plans
+        if a is not b and rng.random() < p
+    }
+    return GeneralAF(goals, plans, attacks)

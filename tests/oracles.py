@@ -203,6 +203,25 @@ def trigger_brute(beliefs):
     return tuple(out)
 
 
+def derive_brute(gaf):
+    """The goal-level attacks by definition: distinct declared goals g and h,
+    each with at least one plan, attack each other when every plan of g and
+    every plan of h are joined by an attack in either direction; the label
+    is the union of the labels of all those plan-level attacks."""
+    plans = {g.id: [a.id for a in gaf.args if a.claim == g.id] for g in gaf.goals}
+    attacks = {}
+    for g, h in product(plans, plans):
+        if g == h or not plans[g] or not plans[h]:
+            continue
+        joining = [
+            [gaf.attacks[pair] for pair in ((a, b), (b, a)) if pair in gaf.attacks]
+            for a, b in product(plans[g], plans[h])
+        ]
+        if all(joining):
+            attacks[(g, h)] = frozenset().union(*chain.from_iterable(joining))
+    return attacks
+
+
 def args_for_goal(gaf, goal_id):
     """All instrumental arguments whose claim is the given goal (its plans)."""
     if goal_id not in {g.id for g in gaf.goals}:

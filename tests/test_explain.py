@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -173,6 +174,16 @@ def test_construct_rejects_foreign_instances(cleaner_model):
     )
     with pytest.raises(InputError):
         construct_arguments(cleaner_model.beliefs, foreign)
+
+
+def test_construct_accepts_instances_triggered_from_equal_copies(cleaner_model):
+    copies = tuple(replace(b) for b in cleaner_model.beliefs)
+    arguments = construct_arguments(cleaner_model.beliefs, trigger_rules(copies))
+    assert [str(a) for a in arguments] == [str(a) for a in cleaner_model.arguments]
+    foreign = trigger_rules(copies[:1] + (Belief(BeliefKind.NOT_INCOMP, ("other",), index=99),))
+    with pytest.raises(InputError) as err:
+        construct_arguments(cleaner_model.beliefs, foreign)
+    assert str(err.value) == f"instance {foreign[-1].id} was not triggered from these beliefs"
 
 
 def by_shape(model, schema_id, x, y=None):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CLEANER_GOALS, cleaner_general_af, random_goal_af
+from conftest import CLEANER_GOALS, cleaner_general_af, random_goal_af, random_loose_general_af
 from goalarg import (
     GeneralAF,
     GoalDecl,
@@ -16,7 +16,7 @@ from goalarg import (
     derive_goal_af,
     kinds_from_letters,
 )
-from oracles import conflict_pairs
+from oracles import conflict_pairs, derive_brute
 
 EXPECTED_CONFLICT_PAIRS = {
     frozenset({"g1", "g4"}),
@@ -75,6 +75,21 @@ def test_partial_plan_conflicts_do_not_lift():
     }
     raw = derive_goal_af(GeneralAF(goals, args, attacks))
     assert raw.attacks == {}
+
+
+def test_derivation_matches_the_definition():
+    rng = random.Random(14)
+    lifted = unlifted = 0
+    for _ in range(300):
+        gaf = random_loose_general_af(rng)
+        raw = derive_goal_af(gaf)
+        assert raw.attacks == derive_brute(gaf)
+        assert raw.pref == {g.id: g.preference for g in gaf.goals}
+        assert raw.stage is Stage.RAW
+        planned = len({a.claim for a in gaf.args} & raw.pref.keys())
+        lifted += len(raw.attacks)
+        unlifted += planned * (planned - 1) - len(raw.attacks)
+    assert lifted > 100 and unlifted > 100  # goal pairs of both outcomes occur
 
 
 def test_successful_attacks_match_worked_example():

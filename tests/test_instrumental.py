@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from conftest import CLEANER_ARGS, CLEANER_GOALS, cleaner_general_af
+from conftest import CLEANER_ARGS, CLEANER_GOALS, cleaner_general_af, random_general_af
 from goalarg import (
     GeneralAF,
     GoalDecl,
@@ -121,6 +123,70 @@ def test_attack_issues_are_reported_verbatim(attacks, expected):
     labeled = {pair: kinds_from_letters(letters) for pair, letters in attacks.items()}
     issues = validate(GeneralAF(CLEANER_GOALS, CLEANER_ARGS, labeled))
     assert [str(i) for i in issues] == expected
+
+
+def inject(rng, gaf, fault):
+    """`gaf` with one fault of the named kind: one of `validate`'s ten
+    errors, a warning only, or none."""
+    goals, args, attacks = list(gaf.goals), list(gaf.args), dict(gaf.attacks)
+    if len(args) < 2:
+        args += [InstrumentalArgDecl("q0", goals[0].id), InstrumentalArgDecl("q1", goals[-1].id)]
+    g, a = rng.randrange(len(goals)), rng.randrange(len(args))
+    one, other = (x.id for x in rng.sample(args, 2))
+    labels = kinds_from_letters(rng.sample("trs", rng.randint(1, 3)))
+    if fault == "duplicate goal id":
+        goals.append(replace(goals[g], predicate="again()"))
+    elif fault == "empty predicate":
+        goals[g] = replace(goals[g], predicate="")
+    elif fault == "preference out of range":
+        goals[g] = replace(goals[g], preference=rng.choice([Fraction(0), Fraction(-1, 2), Fraction(3, 2)]))
+    elif fault == "duplicate argument id":
+        args.append(replace(args[a], claim=rng.choice(goals).id))
+    elif fault == "unknown claim":
+        args[a] = replace(args[a], claim="nowhere")
+    elif fault == "unknown sub-argument":
+        args[a] = replace(args[a], sub_args=args[a].sub_args + ("ghost",))
+    elif fault == "sub-argument cycle":
+        ring = rng.sample(range(len(args)), rng.randint(1, min(3, len(args))))
+        for here, there in zip(ring, ring[1:] + ring[:1]):
+            args[here] = replace(args[here], sub_args=(args[there].id,))
+    elif fault == "unknown attack endpoint":
+        attacks[rng.choice([(one, "ghost"), ("ghost", one)])] = labels
+    elif fault == "self-attack":
+        attacks[(one, one)] = labels
+    elif fault == "empty label set":
+        attacks[(one, other)] = frozenset()
+    elif fault == "warning only":  # differing reverse labels, or no reverse
+        attacks[(one, other)] = labels
+        if attacks.get((other, one)) == labels:
+            del attacks[(other, one)]
+    return GeneralAF(tuple(goals), tuple(args), attacks)
+
+
+FAULTS = [
+    "duplicate goal id", "empty predicate", "preference out of range", "duplicate argument id",
+    "unknown claim", "unknown sub-argument", "sub-argument cycle", "unknown attack endpoint",
+    "self-attack", "empty label set",
+]
+
+
+@pytest.mark.parametrize("fault", FAULTS + ["warning only", "none"])
+def test_require_valid_agrees_with_validate(fault):
+    rng = random.Random(fault)
+    for _ in range(40):
+        gaf = inject(rng, random_general_af(rng), fault)
+        issues = validate(gaf)
+        errors = [i for i in issues if i.severity == "error"]
+        assert bool(errors) == (fault in FAULTS)
+        if fault == "warning only":
+            assert issues
+        if errors:
+            with pytest.raises(ValidationError) as err:
+                require_valid(gaf)
+            assert err.value.issues == errors
+            assert str(err.value) == str(ValidationError(errors))
+        else:
+            assert require_valid(gaf) is gaf
 
 
 def test_args_for_goal_cleaner_world():

@@ -13,6 +13,7 @@ from goalarg import (
     Semantics,
     Stage,
     UtilityVariant,
+    kinds_from_letters,
     load_scenario,
     parse_scenario,
     run_pipeline,
@@ -234,6 +235,15 @@ def surrogate(attacks, key):
          "attacks[5]: 'from'/'to' must be strings"),
         (goal_level_doc({"from": "zz", "to": "zz", "kinds": ["t"]}),
          "goal_attacks[(zz, zz)]: unknown goal 'zz'"),
+        # Kinds that a lookup of tuple(kinds) would accept or fail to hash.
+        (attacks_doc(lambda a: a[0].update(kinds={"t": 1})),
+         "attacks[0].kinds: 'kinds' must be a nonempty list"),
+        (attacks_doc(lambda a: a[0].update(kinds=[["t"]])),
+         "attacks[0].kinds: unknown incompatibility kind ['t']"),
+        (attacks_doc(lambda a: a[0].update(kinds=[{}])),
+         "attacks[0].kinds: unknown incompatibility kind {}"),
+        (goal_level_doc({"from": "a", "to": "b", "kinds": "t"}),
+         "goal_attacks[0].kinds: 'kinds' must be a nonempty list"),
     ],
 )
 def test_attack_entry_faults_are_reported_verbatim(doc, message):
@@ -329,6 +339,19 @@ def test_duplicate_attack_pair_with_identical_kinds_is_tolerated(tmp_path):
     doc = load_doc()
     doc["attacks"].append(dict(doc["attacks"][0]))
     load_scenario(write(tmp_path, doc))  # no error
+    # Entries off the common spelling that are still well formed.
+    tr = kinds_from_letters("tr")
+    for goal_ids, entries, labels in [
+        ("ab", [{"from": "a", "to": "b", "kinds": ["t", "t"]}], {T}),
+        ("ab", [{"from": "a", "to": "b", "kinds": ["r", "t"]},
+                {"from": "a", "to": "b", "kinds": ["t", "r"]}], tr),
+        ("ab", [{"from": "a", "to": "b", "kinds": ["t"], "note": "extra key"}], {T}),
+        (("gé", "b"), [{"from": "gé", "to": "b", "kinds": ["r", "t", "r"]}], tr),
+    ]:
+        a, b = goal_ids
+        goals = [{"id": g, "predicate": f"{g}()", "preference": 0.5} for g in goal_ids]
+        scenario = parse_scenario({"goals": goals, "goal_attacks": entries})
+        assert scenario.general.attacks == {(a, b): labels, (b, a): labels}
 
 
 def test_missing_file():
