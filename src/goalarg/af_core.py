@@ -86,8 +86,9 @@ def max_weight_conflict_free(
     step = {1 << i: (~clash[i], weights[node]) for i, node in enumerate(order)}
     count, best, maxima = 1, 0, [0]  # the empty set, scoring 0, comes first
 
-    # Recursion depth is the size of the current set; a walk deep enough
-    # to reach the interpreter's limit would visit over 2**900 sets first.
+    # Recursion depth is the size of the current set.  Reaching depth d
+    # proves a conflict-free set of d nodes, whose 2**d subsets are all
+    # conflict-free: a walk that hits the recursion limit could never end.
     def extend(free: int, members: int, score: int) -> None:
         nonlocal count, best, maxima
         while free:
@@ -103,7 +104,11 @@ def max_weight_conflict_free(
             if free & keep:
                 extend(free & keep, child, child_score)
 
-    extend((1 << len(order)) - 1, 0, 0)
+    try:
+        extend((1 << len(order)) - 1, 0, 0)
+    except RecursionError:
+        raise InputError(f"too many of the {len(order)} nodes are free of conflict to walk "
+                         "their conflict-free sets, which double with each such node") from None
     return count, best, [
         frozenset(node for i, node in enumerate(order) if mask >> i & 1) for mask in maxima
     ]

@@ -78,15 +78,13 @@ SCHEMAS: tuple[RuleSchema, ...] = (
     RuleSchema("r6", (AtomPattern(BeliefKind.NOT_MAX_UTIL, ("x",)),), "x", False, decisive=True),
 )
 
-SCHEMA_BY_ID: Mapping[str, RuleSchema] = {s.id: s for s in SCHEMAS}
-
 
 @dataclass(frozen=True)
 class RuleInstance:
     """A schema applied to concrete goals.  The six schemas only ever bind
     x, y, and a label set, so the substitution is stored flat."""
 
-    schema_id: str
+    schema: RuleSchema
     x: str
     y: str | None
     labels: frozenset[IncompatibilityKind] | None
@@ -99,8 +97,8 @@ class RuleInstance:
         return f"r{self.index}"
 
     @property
-    def decisive(self) -> bool:
-        return SCHEMA_BY_ID[self.schema_id].decisive
+    def schema_id(self) -> str:
+        return self.schema.id
 
     def substitution(self) -> dict[str, str]:
         subst = {"x": self.x}
@@ -148,7 +146,7 @@ def trigger_rules(beliefs: Iterable[Belief]) -> tuple[RuleInstance, ...]:
                 labels = belief.labels if first.kind is BeliefKind.INCOMPAT else None
                 key = (goals[head], schema.head_pursued)
                 claim = claims.get(key) or claims.setdefault(key, Claim(*key))
-                instances.append(RuleInstance(schema.id, goals[x], None if y is None else goals[y],
+                instances.append(RuleInstance(schema, goals[x], None if y is None else goals[y],
                                               labels, tuple(body), claim, len(instances) + 1))
     return tuple(instances)
 
@@ -181,7 +179,7 @@ class ExplanatoryArgument:
 
     @property
     def decisive(self) -> bool:
-        return self.instance.decisive
+        return self.instance.schema.decisive
 
     def __str__(self) -> str:
         parts = [b.id for b in self.instance.body] + [self.instance.id]
@@ -216,9 +214,8 @@ def construct_arguments(
 
 @dataclass(frozen=True)
 class ExplanatoryAF:
-    """The per-goal framework: one goal's arguments, its defeats derived on first read."""
+    """One goal's framework: the arguments claiming it, defeats derived on first read."""
 
-    goal: str
     arguments: tuple[ExplanatoryArgument, ...]
 
     @cached_property
@@ -239,7 +236,7 @@ class ExplanatoryAF:
 def build_xaf(goal: str, arguments: Iterable[ExplanatoryArgument]) -> ExplanatoryAF:
     """Collect the goal's arguments into its framework; its defeats are
     derived on first read (see `ExplanatoryAF.defeats`)."""
-    return ExplanatoryAF(goal, tuple(a for a in arguments if a.claim.goal == goal))
+    return ExplanatoryAF(tuple(a for a in arguments if a.claim.goal == goal))
 
 
 class Semantics(Enum):
@@ -321,7 +318,7 @@ def build_explanation_model(gaf_sc: GoalAF, selection: SelectionResult) -> Expla
     by_goal: dict[str, list[ExplanatoryArgument]] = {g: [] for g in gaf_sc.goals}
     for a in arguments:
         by_goal[a.claim.goal].append(a)
-    xafs = {g: ExplanatoryAF(g, tuple(mine)) for g, mine in by_goal.items()}
+    xafs = {g: ExplanatoryAF(tuple(mine)) for g, mine in by_goal.items()}
     return ExplanationModel(gaf_sc, selection, beliefs, instances, arguments, xafs)
 
 

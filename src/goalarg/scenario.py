@@ -26,7 +26,6 @@ import time
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from pathlib import Path
 from typing import Any
 
@@ -63,13 +62,16 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A loaded document: goal declarations plus its plan level, ready for
-    the pipeline."""
+    """A loaded document: its plan level, which declares the goals, ready
+    for the pipeline."""
 
-    goals: tuple[GoalDecl, ...]
     general: GeneralAF
     main_goals: frozenset[str]
     config: RunConfig
+
+    @property
+    def goals(self) -> tuple[GoalDecl, ...]:
+        return self.general.goals
 
     def names(self) -> dict[str, str]:
         return {g.id: g.predicate for g in self.goals}
@@ -171,18 +173,12 @@ def _parse_goals(doc: Mapping[str, Any]) -> tuple[GoalDecl, ...]:
     return tuple(out)
 
 
-# Every label set a document can spell, keyed by its letters, so that
-# attack entries share seven sets instead of building one each.
+# Every label set, keyed by its letters in t, r, s order (the order reports
+# print), so that attack entries spelled that way share seven sets instead
+# of building one each; any other spelling takes the located checks.
 _LABEL_SETS = {
-    frozenset(letters): kinds_from_letters(letters)
+    tuple(letters): kinds_from_letters(letters)
     for letters in ("t", "r", "s", "tr", "ts", "rs", "trs")
-}
-# The same sets keyed by every letter tuple without a repeat, in any order
-# (("r", "t") as well as ("t", "r")): one lookup accepts a usual `kinds` list.
-_SPELLED_SETS = {
-    spelling: _LABEL_SETS[frozenset(spelling)]
-    for n in (1, 2, 3)
-    for spelling in permutations("trs", n)
 }
 
 
@@ -190,9 +186,9 @@ def _parse_attack_entries(
     raw: Any, key: str
 ) -> dict[tuple[str, str], frozenset[IncompatibilityKind]]:
     """Each entry gets one cheap test: a plain dict with ASCII string ends,
-    a list of kinds spelled without a repeated letter, and a pair that is
-    new or repeats its label set.  Any other entry goes through the located
-    checks of `_checked_attack_entry`, which name its first fault."""
+    a list of kinds spelled in t, r, s order, and a pair that is new or
+    repeats its label set.  Any other entry goes through the located checks
+    of `_checked_attack_entry`, which name its first fault."""
     _expect(isinstance(raw, list), f"'{key}' must be a list", key)
     attacks: dict[tuple[str, str], frozenset[IncompatibilityKind]] = {}
     for i, entry in enumerate(raw):
@@ -201,7 +197,7 @@ def _parse_attack_entries(
             if (type(source) is str and type(target) is str and type(letters) is list
                     and source.isascii() and target.isascii()):
                 try:
-                    kinds = _SPELLED_SETS.get(tuple(letters))
+                    kinds = _LABEL_SETS.get(tuple(letters))
                 except TypeError:  # an unhashable letter
                     kinds = None
                 if kinds is not None and attacks.setdefault((source, target), kinds) is kinds:
@@ -232,7 +228,7 @@ def _checked_attack_entry(
     for letter in letters:
         if letter not in ("t", "r", "s"):
             raise ScenarioError(f"unknown incompatibility kind {letter!r}", f"{where}.kinds")
-    kinds = _LABEL_SETS[frozenset(letters)]
+    kinds = kinds_from_letters(letters)
     if attacks.get((source, target), kinds) != kinds:
         raise ScenarioError(f"pair ({source}, {target}) declared twice with different kinds", where)
     return (source, target), kinds
@@ -347,7 +343,7 @@ def parse_scenario(doc: Any) -> Scenario:
     unknown = sorted(set(doc) - known)
     _expect(not unknown, f"unknown keys: {', '.join(unknown)}", "$")
 
-    return Scenario(goals, general, main, _parse_config(doc))
+    return Scenario(general, main, _parse_config(doc))
 
 
 def _default_main_goals(goals: tuple[GoalDecl, ...], general: GeneralAF) -> frozenset[str]:

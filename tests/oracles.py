@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, combinations, product
 
-from goalarg import Claim, InputError, RuleInstance
+from goalarg import SCHEMAS, Claim, InputError, RuleInstance
 from goalarg.af_core import characteristic, conflict_free_sets
 
 
@@ -198,7 +198,8 @@ def trigger_brute(beliefs):
                 continue
             labels = next((h.labels for h in hits if h.kind.value == "incompat"), None)
             head = Claim(subst[head_var], head_pursued)
-            out.append(RuleInstance(rule_id, subst["x"], subst.get("y"), labels,
+            schema = next(s for s in SCHEMAS if s.id == rule_id)
+            out.append(RuleInstance(schema, subst["x"], subst.get("y"), labels,
                                     tuple(hits), head, index=len(out) + 1))
     return tuple(out)
 

@@ -424,6 +424,14 @@ def latin1_predicate(doc):
     return json.dumps(doc, ensure_ascii=False).encode("latin-1")
 
 
+def goals_free_of_conflict(doc):
+    """A goal-level document with a few more goals than the recursion limit
+    and no conflict: selection would walk 2**n conflict-free sets."""
+    goals = [{"id": f"g{i}", "predicate": f"task{i}()", "preference": 0.5}
+             for i in range(sys.getrecursionlimit() + 20)]
+    return json.dumps({"goals": goals, "goal_attacks": []})
+
+
 @pytest.mark.parametrize(
     "command",
     [["validate"], ["select"], ["report"], ["export", "--dot", "goals"]],
@@ -447,11 +455,13 @@ def latin1_predicate(doc):
         lone_surrogate_attack,
         latin1_predicate,
         lambda d: json.dumps(d).encode("utf-16"),
+        goals_free_of_conflict,
     ],
     ids=["main-goal-list", "sub-arg-list", "pref-1e999999", "pref-1e-5000",
          "deep-chain", "deep-cycle", "pref-5000-digit-int", "pref-sum-7200-digits",
          "pref-1e-9999999", "pref-literal-1e-9999999", "nested-100000-deep",
-         "lone-surrogate-id", "lone-surrogate-attack", "latin-1-file", "utf-16-file"],
+         "lone-surrogate-id", "lone-surrogate-attack", "latin-1-file", "utf-16-file",
+         "goals-free-of-conflict"],
 )
 def test_hostile_inputs_end_in_an_exit_code(run, tmp_path, command, mutate):
     doc = cleaner_doc()

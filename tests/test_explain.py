@@ -429,3 +429,38 @@ def test_pipeline_extensions_match_af_core_under_every_semantics():
                 assert [frozenset(a.id for a in ext) for ext in got] == evaluate(af)
                 for ext in got:
                     assert [a.index for a in ext] == sorted(a.index for a in ext)
+
+
+def test_pooled_frameworks_match_af_core_under_every_semantics():
+    # One goal's arguments pooled from two models whose selections differ
+    # (the second re-indexed), then random subsets: decisive arguments fall
+    # on one side, on both sides or on neither, so extensions_of takes its
+    # direct reading as well as af_core's evaluation.  af_core orders
+    # extensions by id and extensions_of by argument index, so the answers
+    # are compared as sets.
+    rng = random.Random(41)
+    sides_seen = set()
+    for _ in range(30):
+        filtered = apply_successful_attacks(random_goal_af(rng, max_goals=6))
+        selection = other = select(filtered)
+        goals = filtered.goals
+        while other.pursued == selection.pursued:
+            pursued = frozenset(rng.sample(goals, rng.randint(0, len(goals))))
+            other = replace(selection, pursued=pursued)
+        first = build_explanation_model(filtered, selection).arguments
+        second = build_explanation_model(filtered, other).arguments
+        pool = first + tuple(replace(a, index=a.index + len(first)) for a in second)
+        for goal in goals:
+            for _ in range(8):
+                xaf = build_xaf(goal, rng.sample(pool, rng.randint(0, len(pool))))
+                sides_seen.add(len({a.claim.pursued for a in xaf.arguments if a.decisive}))
+                af = xaf.to_abstract()
+                for semantics, evaluate in AF_CORE_SEMANTICS.items():
+                    got = extensions_of(xaf, semantics)
+                    expected = evaluate(af)
+                    assert len(got) == len(expected)
+                    assert {frozenset(a.id for a in ext) for ext in got} == set(expected)
+                    assert list(got) == sorted(got, key=lambda ext: [a.index for a in ext])
+                    for ext in got:
+                        assert [a.index for a in ext] == sorted(a.index for a in ext)
+    assert sides_seen == {0, 1, 2}
