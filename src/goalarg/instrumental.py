@@ -13,6 +13,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 
 from .errors import ValidationError
 
@@ -76,6 +77,9 @@ class ValidationIssue:
         return f"{self.severity} at {self.location}: {self.message}"
 
 
+_error = partial(ValidationIssue, "error")
+
+
 def validate(gaf: GeneralAF) -> list[ValidationIssue]:
     """Check all framework invariants; returns every violation found.
 
@@ -83,70 +87,67 @@ def validate(gaf: GeneralAF) -> list[ValidationIssue]:
     differing labels) is reported as a warning, not an error: symmetry holds
     in every construction we know of, but nothing forbids other inputs.
     """
-    issues: list[ValidationIssue] = []
+    return list(_issues(gaf))
 
-    seen_goals: set[str] = set()
+
+def _issues(gaf: GeneralAF, warnings: bool = True) -> Iterator[ValidationIssue]:
+    """Yield the issues of `validate` in its order: goals, arguments,
+    sub-arguments, cycles, then attack pairs in sorted order.  Text is
+    formatted only for a rule the input breaks; `warnings=False` skips the
+    reverse-attack checks."""
+    goal_ids: set[str] = set()
     for i, goal in enumerate(gaf.goals):
-        loc = f"goals[{i}] ({goal.id})"
-        if goal.id in seen_goals:
-            issues.append(ValidationIssue("error", loc, "duplicate goal id"))
-        seen_goals.add(goal.id)
+        if goal.id in goal_ids:
+            yield _error(f"goals[{i}] ({goal.id})", "duplicate goal id")
+        goal_ids.add(goal.id)
         if not goal.predicate:
-            issues.append(ValidationIssue("error", loc, "empty predicate"))
-        if not (0 < goal.preference <= 1):
-            issues.append(
-                ValidationIssue("error", loc, f"preference {goal.preference} outside (0, 1]")
-            )
+            yield _error(f"goals[{i}] ({goal.id})", "empty predicate")
+        if not 0 < goal.preference <= 1:
+            yield _error(f"goals[{i}] ({goal.id})", f"preference {goal.preference} outside (0, 1]")
 
-    goal_ids = {g.id for g in gaf.goals}
-    seen_args: set[str] = set()
+    arg_ids: set[str] = set()
     for i, arg in enumerate(gaf.args):
-        loc = f"arguments[{i}] ({arg.id})"
-        if arg.id in seen_args:
-            issues.append(ValidationIssue("error", loc, "duplicate argument id"))
-        seen_args.add(arg.id)
+        if arg.id in arg_ids:
+            yield _error(f"arguments[{i}] ({arg.id})", "duplicate argument id")
+        arg_ids.add(arg.id)
         if arg.claim not in goal_ids:
-            issues.append(ValidationIssue("error", loc, f"claim references unknown goal {arg.claim!r}"))
-
-    arg_ids = {a.id for a in gaf.args}
+            yield _error(f"arguments[{i}] ({arg.id})",
+                         f"claim references unknown goal {arg.claim!r}")
     for i, arg in enumerate(gaf.args):
         for sub in arg.sub_args:
             if sub not in arg_ids:
-                issues.append(
-                    ValidationIssue(
-                        "error", f"arguments[{i}] ({arg.id})", f"unknown sub-argument {sub!r}"
-                    )
-                )
+                yield _error(f"arguments[{i}] ({arg.id})", f"unknown sub-argument {sub!r}")
 
     for cycle in _sub_arg_cycles(gaf):
-        issues.append(
-            ValidationIssue(
-                "error",
-                f"arguments ({cycle[0]})",
-                "cyclic sub-argument relation: " + " -> ".join(cycle),
-            )
-        )
+        yield _error(f"arguments ({cycle[0]})",
+                     "cyclic sub-argument relation: " + " -> ".join(cycle))
 
-    def attack_issue(severity: str, pair: tuple[str, str], message: str) -> None:
-        # The location is formatted only for a pair that has an issue.
-        issues.append(ValidationIssue(severity, "attacks[({}, {})]".format(*pair), message))
+    # Attack pairs are checked in any order; only the flagged ones are sorted.
+    flagged: dict[tuple[str, str], list[ValidationIssue]] = {}
 
-    for pair, labels in sorted(gaf.attacks.items()):
+    def flag(severity: str, pair: tuple[str, str], message: str) -> None:
+        location = "attacks[({}, {})]".format(*pair)
+        flagged.setdefault(pair, []).append(ValidationIssue(severity, location, message))
+
+    for pair, labels in gaf.attacks.items():
         attacker, target = pair
-        for endpoint in pair:
-            if endpoint not in arg_ids:
-                attack_issue("error", pair, f"unknown argument {endpoint!r}")
+        # Each end is tested on its own: a loop over the pair runs half again as long.
+        if attacker not in arg_ids:
+            flag("error", pair, f"unknown argument {attacker!r}")
+        if target not in arg_ids:
+            flag("error", pair, f"unknown argument {target!r}")
         if attacker == target:
-            attack_issue("error", pair, "self-attack")
+            flag("error", pair, "self-attack")
         if not labels:
-            attack_issue("error", pair, "empty incompatibility label set")
-        reverse = gaf.attacks.get((target, attacker))
-        if reverse is None:
-            attack_issue("warning", pair, "reverse attack not declared")
-        elif reverse != labels:
-            attack_issue("warning", pair, "labels differ from the reverse attack's")
-
-    return issues
+            flag("error", pair, "empty incompatibility label set")
+        if warnings:
+            reverse = gaf.attacks.get((target, attacker))
+            if reverse is None:
+                flag("warning", pair, "reverse attack not declared")
+            elif reverse != labels:
+                flag("warning", pair, "labels differ from the reverse attack's")
+    for pair in sorted(flagged):
+        yield from flagged[pair]
 
 
 def _sub_arg_cycles(gaf: GeneralAF) -> Iterator[list[str]]:
@@ -177,27 +178,9 @@ def _sub_arg_cycles(gaf: GeneralAF) -> Iterator[list[str]]:
                 pending.pop()
 
 
-def _is_valid(gaf: GeneralAF) -> bool:
-    """Whether `validate` finds no error, decided without building any text."""
-    goal_ids = {g.id for g in gaf.goals}
-    arg_ids = {a.id for a in gaf.args}
-    return (
-        len(goal_ids) == len(gaf.goals)
-        and len(arg_ids) == len(gaf.args)
-        and all(g.predicate and 0 < g.preference <= 1 for g in gaf.goals)
-        and all(a.claim in goal_ids and arg_ids.issuperset(a.sub_args) for a in gaf.args)
-        and all(
-            labels and a != b and a in arg_ids and b in arg_ids
-            for (a, b), labels in gaf.attacks.items()
-        )
-        and next(_sub_arg_cycles(gaf), None) is None
-    )
-
-
 def require_valid(gaf: GeneralAF) -> GeneralAF:
-    """Return the framework unchanged, or raise with all error-level issues.
-
-    The text-free `_is_valid` decides; `validate` runs only to word a failure."""
-    if _is_valid(gaf):
-        return gaf
-    raise ValidationError([i for i in validate(gaf) if i.severity == "error"])
+    """Return the framework unchanged, or raise with all error-level issues."""
+    errors = list(_issues(gaf, warnings=False))
+    if errors:
+        raise ValidationError(errors)
+    return gaf

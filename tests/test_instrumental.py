@@ -125,9 +125,62 @@ def test_attack_issues_are_reported_verbatim(attacks, expected):
     assert [str(i) for i in issues] == expected
 
 
+def test_issues_are_reported_in_section_order():
+    """One framework with a fault in every section and both warnings: goals,
+    then arguments, sub-arguments, cycles, then attack pairs in sorted
+    order, each pair's errors before its warning."""
+    goals = (
+        GoalDecl("g1", "clean()", Fraction(1, 2)),
+        GoalDecl("g1", "again()", Fraction(1, 2)),
+        GoalDecl("g2", "", Fraction(1, 2)),
+        GoalDecl("g3", "x()", Fraction(3, 2)),
+    )
+    args = (
+        InstrumentalArgDecl("A", "g1", ("B",)),
+        InstrumentalArgDecl("B", "g2", ("A",)),
+        InstrumentalArgDecl("C", "nowhere"),
+        InstrumentalArgDecl("C", "elsewhere"),
+        InstrumentalArgDecl("D", "g3", ("ghost",)),
+    )
+    attacks = {
+        ("A", "ghost"): kinds_from_letters("t"),
+        ("C", "C"): kinds_from_letters("r"),
+        ("A", "B"): frozenset(),
+        ("B", "A"): kinds_from_letters("t"),
+        ("D", "D"): frozenset(),
+        ("Y", "Z"): kinds_from_letters("s"),
+    }
+    assert [str(i) for i in validate(GeneralAF(goals, args, attacks))] == [
+        "error at goals[1] (g1): duplicate goal id",
+        "error at goals[2] (g2): empty predicate",
+        "error at goals[3] (g3): preference 3/2 outside (0, 1]",
+        "error at arguments[2] (C): claim references unknown goal 'nowhere'",
+        "error at arguments[3] (C): duplicate argument id",
+        "error at arguments[3] (C): claim references unknown goal 'elsewhere'",
+        "error at arguments[4] (D): unknown sub-argument 'ghost'",
+        "error at arguments (A): cyclic sub-argument relation: A -> B -> A",
+        "error at attacks[(A, B)]: empty incompatibility label set",
+        "warning at attacks[(A, B)]: labels differ from the reverse attack's",
+        "error at attacks[(A, ghost)]: unknown argument 'ghost'",
+        "warning at attacks[(A, ghost)]: reverse attack not declared",
+        "warning at attacks[(B, A)]: labels differ from the reverse attack's",
+        "error at attacks[(C, C)]: self-attack",
+        "error at attacks[(D, D)]: self-attack",
+        "error at attacks[(D, D)]: empty incompatibility label set",
+        "error at attacks[(Y, Z)]: unknown argument 'Y'",
+        "error at attacks[(Y, Z)]: unknown argument 'Z'",
+        "warning at attacks[(Y, Z)]: reverse attack not declared",
+    ]
+
+
 def inject(rng, gaf, fault):
     """`gaf` with one fault of the named kind: one of `validate`'s ten
-    errors, a warning only, or none."""
+    errors, a warning only, or none; or with several faults: the warning,
+    then one to three distinct errors."""
+    if fault == "several faults":
+        for one in ["warning only"] + rng.sample(ERRORS, rng.randint(1, 3)):
+            gaf = inject(rng, gaf, one)
+        return gaf
     goals, args, attacks = list(gaf.goals), list(gaf.args), dict(gaf.attacks)
     if len(args) < 2:
         args += [InstrumentalArgDecl("q0", goals[0].id), InstrumentalArgDecl("q1", goals[-1].id)]
@@ -163,20 +216,23 @@ def inject(rng, gaf, fault):
     return GeneralAF(tuple(goals), tuple(args), attacks)
 
 
-FAULTS = [
+ERRORS = [
     "duplicate goal id", "empty predicate", "preference out of range", "duplicate argument id",
     "unknown claim", "unknown sub-argument", "sub-argument cycle", "unknown attack endpoint",
     "self-attack", "empty label set",
 ]
+FAULTS = ERRORS + ["several faults"]
 
 
 @pytest.mark.parametrize("fault", FAULTS + ["warning only", "none"])
 def test_require_valid_agrees_with_validate(fault):
     rng = random.Random(fault)
+    several_errors = 0
     for _ in range(40):
         gaf = inject(rng, random_general_af(rng), fault)
         issues = validate(gaf)
         errors = [i for i in issues if i.severity == "error"]
+        several_errors += len(errors) > 1
         assert bool(errors) == (fault in FAULTS)
         if fault == "warning only":
             assert issues
@@ -187,6 +243,8 @@ def test_require_valid_agrees_with_validate(fault):
             assert str(err.value) == str(ValidationError(errors))
         else:
             assert require_valid(gaf) is gaf
+    if fault == "several faults":  # the full list and message, not only the first error
+        assert several_errors >= 20
 
 
 def test_args_for_goal_cleaner_world():
