@@ -6,78 +6,41 @@ breaks symmetric attacks, the maximum-utility conflict-free set of goals
 is selected, and the whole decision is then replayed as explanatory
 arguments that answer WHY and WHY_NOT queries, both as argumentation
 frameworks and as pseudo-natural sentences.
+
+Every public name below can be imported from the package itself; the
+module defining it is imported on the name's first use, so a command
+loads only the modules it runs.
 """
 
-from .af_core import (
-    AbstractAF,
-    complete_extensions,
-    conflict_free_sets,
-    defends,
-    grounded_extension,
-    preferred_extensions,
-    stable_extensions,
-)
-from .belief_gen import Belief, BeliefKind, comps, eval_pref, generate_beliefs
-from .errors import (
-    GoalArgError,
-    InputError,
-    QueryDirectionError,
-    ScenarioError,
-    ValidationError,
-)
-from .explain import (
-    Claim,
-    Explanation,
-    ExplanationKind,
-    ExplanationModel,
-    ExplanatoryAF,
-    ExplanatoryArgument,
-    QueryKind,
-    RuleInstance,
-    RuleSchema,
-    SCHEMAS,
-    Semantics,
-    build_explanation_model,
-    build_xaf,
-    complete_explanation,
-    construct_arguments,
-    extensions_of,
-    trigger_rules,
-    why,
-    why_not,
-)
-from .goal_graph import GoalAF, Stage, apply_successful_attacks, derive_goal_af
-from .instrumental import (
-    GeneralAF,
-    GoalDecl,
-    IncompatibilityKind,
-    InstrumentalArgDecl,
-    ValidationIssue,
-    format_kinds,
-    kinds_from_letters,
-    require_valid,
-    validate,
-)
-from .render import (
-    ExplanatorySentence,
-    export_dot,
-    format_rational,
-    render_argument,
-    render_partial_explanation,
-)
-from .scenario import (
-    RunConfig,
-    RunReport,
-    Scenario,
-    load_scenario,
-    parse_scenario,
-    report_to_dict,
-    run_pipeline,
-)
-from .selection import (
-    SelectionResult,
-    UtilityVariant,
-    select,
-)
+from importlib import import_module
+
+# Each module with the public names it defines, one module per entry.
+_EXPORTS = {
+    "af_core": "AbstractAF Semantics complete_extensions conflict_free_sets defends"
+               " grounded_extension preferred_extensions stable_extensions",
+    "belief_gen": "Belief BeliefKind comps eval_pref generate_beliefs",
+    "errors": "GoalArgError InputError QueryDirectionError ScenarioError ValidationError",
+    "explain": "Claim Explanation ExplanationKind ExplanationModel ExplanatoryAF"
+               " ExplanatoryArgument QueryKind RuleInstance RuleSchema SCHEMAS"
+               " build_explanation_model build_xaf complete_explanation construct_arguments"
+               " extensions_of trigger_rules why why_not",
+    "goal_graph": "GoalAF Stage apply_successful_attacks derive_goal_af",
+    "instrumental": "GeneralAF GoalDecl IncompatibilityKind InstrumentalArgDecl ValidationIssue"
+                    " format_kinds format_rational kinds_from_letters require_valid validate",
+    "pipeline": "RunReport report_to_dict run_pipeline",
+    "render": "ExplanatorySentence export_dot render_argument render_partial_explanation",
+    "scenario": "RunConfig Scenario load_scenario parse_scenario",
+    "selection": "SelectionResult UtilityVariant select",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = list(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str) -> object:
+    """Import the module defining `name` and keep the name here (PEP 562)."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    return value

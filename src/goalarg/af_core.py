@@ -4,7 +4,7 @@ A framework is a directed attack graph over opaque node identifiers.  The
 semantics here (conflict-free, complete, grounded, preferred, stable)
 are the classical extension-based ones.  Goal selection uses the
 weighted conflict-free walk; hand-built explanatory frameworks use the
-rest (grounded by default).
+rest, chosen by a `Semantics` member (grounded by default).
 
 Everything is a pure function over immutable values.  Each framework
 indexes its attackers once, on first use, and every semantics reads that
@@ -19,9 +19,18 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from enum import Enum
 from functools import cached_property
 
 from .errors import InputError
+
+
+class Semantics(Enum):
+
+    GROUNDED = "grounded"
+    COMPLETE = "complete"
+    PREFERRED = "preferred"
+    STABLE = "stable"
 
 
 @dataclass(frozen=True)
@@ -109,6 +118,8 @@ def max_weight_conflict_free(
     except RecursionError:
         raise InputError(f"too many of the {len(order)} nodes are free of conflict to walk "
                          "their conflict-free sets, which double with each such node") from None
+    finally:
+        del extend  # it holds itself through its cell: free it without the cyclic collector
     return count, best, [
         frozenset(node for i, node in enumerate(order) if mask >> i & 1) for mask in maxima
     ]

@@ -3,7 +3,8 @@
 One scenario file in, results on stdout; the pipeline is a deterministic
 function of its input, so there is no state beyond the files.  Exit status
 is 0 on success and 1 on any validation or query error, with a diagnostic
-on stderr.
+on stderr.  Each command imports the pipeline, explanation and rendering
+modules it runs, so `validate` loads none of them.
 """
 
 from __future__ import annotations
@@ -12,23 +13,16 @@ import argparse
 import json
 import sys
 from collections.abc import Mapping
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .af_core import AbstractAF
+from .af_core import AbstractAF, Semantics
 from .errors import GoalArgError, InputError
-from .explain import Explanation, ExplanationKind, Semantics, complete_explanation, why, why_not
-from .instrumental import require_valid, validate
-from .render import export_dot, format_rational, render_partial_explanation
-from .scenario import (
-    Scenario,
-    argument_to_dict,
-    belief_to_dict,
-    load_scenario,
-    report_to_dict,
-    run_pipeline,
-    selection_to_dict,
-)
+from .instrumental import format_rational, require_valid, validate
+from .scenario import Scenario, load_scenario
 from .selection import UtilityVariant
+
+if TYPE_CHECKING:
+    from .explain import Explanation
 
 
 def _goal_set(goals) -> str:
@@ -53,6 +47,8 @@ def _cmd_validate(scenario: Scenario, args: argparse.Namespace) -> int:
 
 
 def _cmd_select(scenario: Scenario, args: argparse.Namespace) -> int:
+    from .pipeline import run_pipeline, selection_to_dict
+
     report = run_pipeline(scenario, utility=_utility_flag(args))
     sel = report.selection
     if args.format == "json":
@@ -71,6 +67,8 @@ def _cmd_select(scenario: Scenario, args: argparse.Namespace) -> int:
 
 
 def _cmd_beliefs(scenario: Scenario, args: argparse.Namespace) -> int:
+    from .pipeline import belief_to_dict, run_pipeline
+
     report = run_pipeline(scenario)
     if args.format == "json":
         print(_dump([belief_to_dict(b) for b in report.model.beliefs]))
@@ -83,6 +81,10 @@ def _cmd_beliefs(scenario: Scenario, args: argparse.Namespace) -> int:
 def _explanation_payload(
     explanation: Explanation, names: Mapping[str, str]
 ) -> dict[str, Any]:
+    from .explain import ExplanationKind
+    from .pipeline import argument_to_dict
+    from .render import render_partial_explanation
+
     xaf = explanation.xaf
     payload: dict[str, Any] = {
         "goal": explanation.goal,
@@ -102,6 +104,10 @@ def _explanation_payload(
 
 
 def _cmd_explain(scenario: Scenario, args: argparse.Namespace) -> int:
+    from .explain import why, why_not
+    from .pipeline import run_pipeline
+    from .render import export_dot, render_partial_explanation
+
     semantics = Semantics(args.semantics) if args.semantics else None
     report = run_pipeline(scenario, semantics=semantics)
     ask = why if args.direction == "why" else why_not
@@ -119,12 +125,18 @@ def _cmd_explain(scenario: Scenario, args: argparse.Namespace) -> int:
 
 
 def _cmd_report(scenario: Scenario, args: argparse.Namespace) -> int:
+    from .pipeline import report_to_dict, run_pipeline
+
     report = run_pipeline(scenario, utility=_utility_flag(args))
     print(_dump(report_to_dict(report)))
     return 0
 
 
 def _cmd_export(scenario: Scenario, args: argparse.Namespace) -> int:
+    from .explain import complete_explanation
+    from .pipeline import run_pipeline
+    from .render import export_dot
+
     stage = args.dot
     if stage == "general":
         general = require_valid(scenario.general)

@@ -28,6 +28,7 @@ from functools import cached_property
 from operator import itemgetter
 
 from . import af_core
+from .af_core import Semantics
 from .belief_gen import Belief, BeliefKind, generate_beliefs
 from .errors import InputError, QueryDirectionError
 from .goal_graph import GoalAF
@@ -237,14 +238,6 @@ def build_xaf(goal: str, arguments: Iterable[ExplanatoryArgument]) -> Explanator
     """Collect the goal's arguments into its framework; its defeats are
     derived on first read (see `ExplanatoryAF.defeats`)."""
     return ExplanatoryAF(tuple(a for a in arguments if a.claim.goal == goal))
-
-
-class Semantics(Enum):
-
-    GROUNDED = "grounded"
-    COMPLETE = "complete"
-    PREFERRED = "preferred"
-    STABLE = "stable"
 
 
 def extensions_of(

@@ -5,6 +5,8 @@ for a plan achieving a goal, and every attack between two plans is labeled
 with the kinds of incompatibility that cause it (terminal, resource,
 superfluity).  How those attacks are identified from a knowledge base is
 out of scope here; scenario authors state the labeled relation directly.
+Label sets and exact values print through `format_kinds` and
+`format_rational`.
 """
 
 from __future__ import annotations
@@ -34,6 +36,28 @@ def kinds_from_letters(letters: Iterable[str]) -> frozenset[IncompatibilityKind]
 def format_kinds(kinds: frozenset[IncompatibilityKind]) -> str:
     """Render a label set as its letters in fixed t, r, s order: "t,r"."""
     return ",".join(k.value for k in IncompatibilityKind if k in kinds)
+
+
+def format_rational(value: Fraction) -> str:
+    """Exact decimal when the value terminates, else "numerator/denominator"."""
+    num, den = value.numerator, value.denominator
+    rest = den
+    twos = fives = 0
+    while rest % 2 == 0:
+        rest //= 2
+        twos += 1
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    if rest != 1:
+        return f"{num}/{den}"
+    digits = max(twos, fives)
+    if digits == 0:
+        return str(num)
+    scaled = abs(num) * 10**digits // den
+    whole, frac = divmod(scaled, 10**digits)
+    sign = "-" if num < 0 else ""
+    return f"{sign}{whole}.{str(frac).zfill(digits)}"
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Rendering: pseudo-natural sentences, DOT graphs, value formatting.
+"""Rendering: pseudo-natural sentences and DOT graphs.
 
 Each rule schema has one sentence template; which template applies to an
 argument is decided by the rule its instance came from.  Templates are
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .af_core import AbstractAF
 from .errors import InputError
@@ -120,24 +119,3 @@ def export_dot(
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def format_rational(value: Fraction) -> str:
-    """Exact decimal when the value terminates, else "numerator/denominator"."""
-    num, den = value.numerator, value.denominator
-    rest = den
-    twos = fives = 0
-    while rest % 2 == 0:
-        rest //= 2
-        twos += 1
-    while rest % 5 == 0:
-        rest //= 5
-        fives += 1
-    if rest != 1:
-        return f"{num}/{den}"
-    digits = max(twos, fives)
-    if digits == 0:
-        return str(num)
-    scaled = abs(num) * 10**digits // den
-    whole, frac = divmod(scaled, 10**digits)
-    sign = "-" if num < 0 else ""
-    return f"{sign}{whole}.{str(frac).zfill(digits)}"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from goalarg import (
     defends,
     grounded_extension,
     preferred_extensions,
+    run_pipeline,
     stable_extensions,
 )
 
@@ -177,3 +180,15 @@ def test_results_in_lexicographic_order():
     af = AbstractAF.of(["b", "a", "c"])
     listed = [tuple(sorted(s)) for s in conflict_free_sets(af)]
     assert listed == sorted(listed)
+
+
+def test_a_pipeline_run_leaves_no_cyclic_garbage(cleaner_scenario):
+    # The conflict-free walk is a self-referencing closure; left to the
+    # cyclic collector, each selection would leave its working state behind.
+    gc.collect()
+    gc.disable()
+    try:
+        run_pipeline(cleaner_scenario)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
