@@ -3,8 +3,8 @@
 A framework is a directed attack graph over opaque node identifiers.  The
 semantics here (conflict-free, complete, grounded, preferred, stable)
 are the classical extension-based ones.  Goal selection uses the
-weighted conflict-free walk; hand-built explanatory frameworks use the
-rest, chosen by a `Semantics` member (grounded by default).
+weighted conflict-free walk; `explain` reads explanatory frameworks,
+under a `Semantics` member, in closed form, tested against the rest.
 
 Everything is a pure function over immutable values.  Each framework
 indexes its attackers once, on first use, and every semantics reads that

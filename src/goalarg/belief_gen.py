@@ -102,8 +102,9 @@ def generate_beliefs(gaf_sc: GoalAF, selection: SelectionResult) -> tuple[Belief
         add(BeliefKind.MAX_UTIL, (g,), "max-utility")
     for g in sorted(set(gaf_sc.goals) - selection.pursued):
         add(BeliefKind.NOT_MAX_UTIL, (g,), "non-max-utility")
+    weight = gaf_sc.weights
     for (g, h) in sorted(eval_pref(gaf_sc)):
-        if gaf_sc.pref[g] > gaf_sc.pref[h]:
+        if weight[g] > weight[h]:
             add(BeliefKind.PREF, (g, h), "preference-order")
             add(BeliefKind.NOT_PREF, (h, g), "preference-order")
     for (g, h) in sorted(gaf_sc.attacks):

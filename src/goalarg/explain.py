@@ -10,13 +10,13 @@ outcome, which is what actually decided the selection.  Each goal then
 gets its own framework whose extensions are the explanations.
 
 A complete explanation is the whole per-goal framework; a partial one is
-an extension of it.  Every goal gets exactly one max_util or ¬max_util
-belief, so every framework the pipeline builds has one decisive argument
-(r5 or r6), unattacked and defeating each opponent: under grounded,
-complete, preferred and stable alike, its one extension is the side that
-agrees with the selection, read off directly, so a framework derives its
-defeat edges only when they are first read.  The configurable semantics
-only matters for hand-built frameworks, which `af_core` evaluates.
+an extension of it.  Each framework pits pro against con arguments under
+one defeat rule, so `extensions_of` reads its extensions off the two
+sides in closed form.  Every goal gets one max_util or ¬max_util belief,
+so every pipeline framework has one decisive argument (r5 or r6),
+unattacked and defeating each opponent: under every semantics its one
+extension is the side that agrees with the selection, so a framework
+derives its defeat edges only when they are first read.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from enum import Enum
 from functools import cached_property
 from operator import itemgetter
 
-from . import af_core
 from .af_core import Semantics
 from .belief_gen import Belief, BeliefKind, generate_beliefs
 from .errors import InputError, QueryDirectionError
@@ -230,9 +229,6 @@ class ExplanatoryAF:
         rebuttals = [(a, b) for a in pro for b in con] + [(b, a) for a in pro for b in con]
         return frozenset((a.id, b.id) for a, b in rebuttals if a.decisive or not b.decisive)
 
-    def to_abstract(self) -> af_core.AbstractAF:
-        return af_core.AbstractAF.of((a.id for a in self.arguments), self.defeats)
-
 
 def build_xaf(goal: str, arguments: Iterable[ExplanatoryArgument]) -> ExplanatoryAF:
     """Collect the goal's arguments into its framework; its defeats are
@@ -243,29 +239,32 @@ def build_xaf(goal: str, arguments: Iterable[ExplanatoryArgument]) -> Explanator
 def extensions_of(
     xaf: ExplanatoryAF, semantics: Semantics
 ) -> tuple[tuple[ExplanatoryArgument, ...], ...]:
-    """Evaluate the framework; each extension's members come back ordered.
+    """Read the framework's extensions off its two sides, ordered by index.
 
     Under the defeat rule, decisive arguments that all claim one
     polarity (as in every pipeline framework) are unattacked and defeat
     every opponent, so that side is the one extension under every
-    semantics.  Other frameworks go through `af_core`: grounded yields
-    one extension, the others several (or none, for stable), all returned.
+    semantics.  With one side empty nothing is attacked, so the other side
+    is.  Otherwise every argument is defeated from the other side and each
+    whole side defeats all of the other: grounded yields the empty set,
+    complete the empty set and both sides, preferred and stable both sides.
     """
     ordered = sorted(xaf.arguments, key=lambda a: a.index)
     sides = {a.claim.pursued for a in ordered if a.decisive}
     if len(sides) == 1:
         return (tuple(a for a in ordered if a.claim.pursued in sides),)
-    af = xaf.to_abstract()
+    pro = tuple(a for a in ordered if a.claim.pursued)
+    con = tuple(a for a in ordered if not a.claim.pursued)
+    if not pro or not con:
+        return (pro or con,)
+    # A pro and a con argument with one id would defeat themselves.
+    shared = {a.id for a in pro}.intersection(a.id for a in con)
+    if shared:
+        raise InputError(f"self-attack on {min(shared)!r} is not allowed")
+    both = tuple(sorted((pro, con), key=lambda ext: [a.index for a in ext]))
     if semantics is Semantics.GROUNDED:
-        id_sets = [af_core.grounded_extension(af)]
-    elif semantics is Semantics.COMPLETE:
-        id_sets = af_core.complete_extensions(af)
-    elif semantics is Semantics.PREFERRED:
-        id_sets = af_core.preferred_extensions(af)
-    else:
-        id_sets = af_core.stable_extensions(af)
-    extensions = (tuple(a for a in ordered if a.id in ids) for ids in id_sets)
-    return tuple(sorted(extensions, key=lambda ext: [a.index for a in ext]))
+        return ((),)
+    return ((), *both) if semantics is Semantics.COMPLETE else both
 
 
 class QueryKind(Enum):

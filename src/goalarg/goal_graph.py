@@ -10,6 +10,7 @@ equal-preference pairs keep both.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -36,6 +37,8 @@ class GoalAF:
     conflict-kind labels.  `stage` records whether preference filtering
     has been applied; the raw stage is symmetric by construction, the
     filtered stage keeps at most one direction per strictly ordered pair.
+    `weights` holds each preference times `scale`, the LCM of their
+    denominators: integers that compare and add as the preferences do.
     """
 
     pref: Mapping[str, Fraction]
@@ -45,6 +48,14 @@ class GoalAF:
     @cached_property
     def goals(self) -> tuple[str, ...]:
         return tuple(sorted(self.pref))
+
+    @cached_property
+    def scale(self) -> int:
+        return math.lcm(*(p.denominator for p in self.pref.values()))
+
+    @cached_property
+    def weights(self) -> dict[str, int]:
+        return {g: p.numerator * (self.scale // p.denominator) for g, p in self.pref.items()}
 
 
 def derive_goal_af(gaf: GeneralAF) -> GoalAF:
@@ -86,10 +97,10 @@ def apply_successful_attacks(goal_af: GoalAF) -> GoalAF:
 
     Strictly ordered pairs end up with a single direction (from the
     preferred goal); equal-preference pairs keep both directions.
-    Preferences are compared exactly, with no epsilon.
+    Preferences are compared exactly, as integer weights.
     """
     if goal_af.stage is not Stage.RAW:
         raise InputError("successful-attack filtering expects a raw-stage goal framework")
-    pref = goal_af.pref
-    kept = {(g, h): kinds for (g, h), kinds in goal_af.attacks.items() if pref[g] >= pref[h]}
-    return GoalAF(pref, kept, Stage.FILTERED)
+    weight = goal_af.weights
+    kept = {(g, h): kinds for (g, h), kinds in goal_af.attacks.items() if weight[g] >= weight[h]}
+    return GoalAF(goal_af.pref, kept, Stage.FILTERED)

@@ -8,14 +8,13 @@ left visible so explanations can mention them.
 
 Utilities are exact rationals end to end, so the argmax is never subject
 to floating-point noise.  The sets are walked once (`af_core`) with
-integer scores: each counted preference times the LCM of the counted
-preferences' denominators, which orders sets exactly as the rational
-sums do.  Only the maxima are built as sets.
+integer scores: the goal graph's weights (each preference times the LCM
+of all denominators), with uncounted goals at 0, which order sets
+exactly as the rational sums do.  Only the maxima are built as sets.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -49,24 +48,20 @@ def select(
     """Walk the conflict-free goal sets and return the utility maxima."""
     if gaf_sc.stage is not Stage.FILTERED:
         raise InputError("selection expects a successful-attack-filtered goal framework")
-    counted = gaf_sc.goals
+    weights = gaf_sc.weights
     if utility is UtilityVariant.SUM_MAIN:
         if main_goals is None:
             raise InputError("the main-goals utility needs the set of main goals")
         unknown = sorted(main_goals - set(gaf_sc.goals))
         if unknown:
             raise InputError(f"main goals not declared: {', '.join(unknown)}")
-        counted = tuple(g for g in gaf_sc.goals if g in main_goals)
+        weights = {g: w if g in main_goals else 0 for g, w in weights.items()}
 
-    pref = gaf_sc.pref
-    scale = math.lcm(*(pref[g].denominator for g in counted))
-    weights = dict.fromkeys(gaf_sc.goals, 0)
-    weights.update((g, pref[g].numerator * (scale // pref[g].denominator)) for g in counted)
     af = af_core.AbstractAF.of(gaf_sc.goals, gaf_sc.attacks)
     count, best, maxima = af_core.max_weight_conflict_free(af, weights)
     return SelectionResult(
         pursued=maxima[0],
-        winning_utility=Fraction(best, scale),
+        winning_utility=Fraction(best, gaf_sc.scale),
         all_max_extensions=tuple(maxima),
         cf_count=count,
     )

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import cleaner_general_af, random_general_af, random_goal_af
 from goalarg import (
+    AbstractAF,
     Belief,
     BeliefKind,
     Claim,
@@ -312,7 +313,8 @@ def test_partial_is_extension_of_complete(cleaner_model):
     for goal in cleaner_model.gaf_sc.goals:
         query = why if goal in cleaner_model.selection.pursued else why_not
         partial = query(cleaner_model, goal)
-        whole = complete_explanation(cleaner_model, goal).xaf.to_abstract()
+        xaf = complete_explanation(cleaner_model, goal).xaf
+        whole = AbstractAF.of((a.id for a in xaf.arguments), xaf.defeats)
         for extension in partial.extensions:
             assert frozenset(a.id for a in extension) == grounded_extension(whole)
 
@@ -423,7 +425,7 @@ def test_pipeline_extensions_match_af_core_under_every_semantics():
         model = build_explanation_model(filtered, select(filtered))
         for xaf in model.xafs.values():
             assert sum(a.decisive for a in xaf.arguments) == 1
-            af = xaf.to_abstract()
+            af = AbstractAF.of((a.id for a in xaf.arguments), xaf.defeats)
             for semantics, evaluate in AF_CORE_SEMANTICS.items():
                 got = extensions_of(xaf, semantics)
                 assert [frozenset(a.id for a in ext) for ext in got] == evaluate(af)
@@ -454,7 +456,7 @@ def test_pooled_frameworks_match_af_core_under_every_semantics():
             for _ in range(8):
                 xaf = build_xaf(goal, rng.sample(pool, rng.randint(0, len(pool))))
                 sides_seen.add(len({a.claim.pursued for a in xaf.arguments if a.decisive}))
-                af = xaf.to_abstract()
+                af = AbstractAF.of((a.id for a in xaf.arguments), xaf.defeats)
                 for semantics, evaluate in AF_CORE_SEMANTICS.items():
                     got = extensions_of(xaf, semantics)
                     expected = evaluate(af)
@@ -464,3 +466,52 @@ def test_pooled_frameworks_match_af_core_under_every_semantics():
                     for ext in got:
                         assert [a.index for a in ext] == sorted(a.index for a in ext)
     assert sides_seen == {0, 1, 2}
+
+
+def contested_xaf(n):
+    """Goal g's framework with n pro arguments (g preferred over h_i, r2)
+    and n con arguments (k_i preferred over g, r3), none of them decisive."""
+    t = kinds_from_letters("t")
+    beliefs = []
+    for i in range(n):
+        beliefs += [Belief(BeliefKind.INCOMPAT, ("g", f"h{i}"), t),
+                    Belief(BeliefKind.PREF, ("g", f"h{i}")),
+                    Belief(BeliefKind.INCOMPAT, (f"k{i}", "g"), t),
+                    Belief(BeliefKind.NOT_PREF, ("g", f"k{i}"))]
+    return build_xaf("g", construct_arguments(beliefs, trigger_rules(beliefs)))
+
+
+def test_extensions_of_never_builds_an_abstract_framework(monkeypatch):
+    # Every extensions_of call runs with AbstractAF.of raising, while the
+    # pooled test's af_core reference still builds its frameworks.
+    evaluate = extensions_of
+
+    def forbidden(*args):
+        raise AssertionError("extensions_of built an AbstractAF")
+
+    def guarded(xaf, semantics):
+        with monkeypatch.context() as patched:
+            patched.setattr(AbstractAF, "of", forbidden)
+            return evaluate(xaf, semantics)
+
+    monkeypatch.setitem(globals(), "extensions_of", guarded)
+    test_pooled_frameworks_match_af_core_under_every_semantics()
+
+    xaf = contested_xaf(40)
+    pro, con = xaf.arguments[:40], xaf.arguments[40:]
+    assert {a.claim.pursued for a in pro} == {True} and {a.claim.pursued for a in con} == {False}
+    assert guarded(xaf, Semantics.GROUNDED) == ((),)
+    assert guarded(xaf, Semantics.COMPLETE) == ((), pro, con)
+    assert guarded(xaf, Semantics.PREFERRED) == (pro, con)
+    assert guarded(xaf, Semantics.STABLE) == (pro, con)
+
+
+@pytest.mark.parametrize("semantics", list(Semantics))
+def test_a_pro_and_a_con_argument_sharing_an_id_are_rejected(semantics):
+    # No side holds a decisive argument, and two con arguments take the ids
+    # of pro arguments A9 and A10: the least shared id, as a string, is named.
+    xaf = contested_xaf(10)
+    con = [replace(a, index=i) for a, i in zip(xaf.arguments[10:], [9, 10])]
+    shared = replace(xaf, arguments=xaf.arguments[:10] + tuple(con) + xaf.arguments[12:])
+    with pytest.raises(InputError, match=r"^self-attack on 'A10' is not allowed$"):
+        extensions_of(shared, semantics)
