@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .af_core import AbstractAF
 from .errors import InputError
 from .goal_graph import GoalAF, Stage
 from .instrumental import IncompatibilityKind, format_kinds
@@ -59,10 +60,13 @@ class Belief:
 
 
 def comps(gaf_sc: GoalAF) -> frozenset[str]:
-    """Goals with no incident attack in either direction."""
+    """Goals with no incident attack in either direction.  An attack that
+    names an undeclared goal raises the `InputError` `select` raises."""
     if gaf_sc.stage is not Stage.FILTERED:
         raise InputError("belief generation expects a filtered goal framework")
     touched = {g for pair in gaf_sc.attacks for g in pair}
+    if not touched <= gaf_sc.pref.keys():
+        AbstractAF.of(gaf_sc.goals, gaf_sc.attacks)  # names the goal, as in `select`
     return frozenset(g for g in gaf_sc.goals if g not in touched)
 
 

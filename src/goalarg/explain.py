@@ -25,7 +25,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .af_core import Semantics
 from .belief_gen import Belief, BeliefKind, generate_beliefs
@@ -224,10 +224,27 @@ class ExplanatoryAF:
         rebuttal is a defeat, except that a non-decisive argument does not
         defeat a decisive one.  So a max-utility argument defeats its
         opponents one way, and any other rebuttal stays mutual."""
-        pro = [a for a in self.arguments if a.claim.pursued]
-        con = [a for a in self.arguments if not a.claim.pursued]
+        pro, con = _sides(self.arguments)
         rebuttals = [(a, b) for a in pro for b in con] + [(b, a) for a in pro for b in con]
         return frozenset((a.id, b.id) for a, b in rebuttals if a.decisive or not b.decisive)
+
+
+_INDEX = attrgetter("index")
+
+
+def _sides(arguments: Iterable[ExplanatoryArgument]) -> tuple[tuple[ExplanatoryArgument, ...], ...]:
+    """The pro and the con arguments, each ordered by index.  A pro and a
+    con argument with one id would defeat themselves, so that is refused,
+    naming the least shared id as a string."""
+    pro: list[ExplanatoryArgument] = []
+    con: list[ExplanatoryArgument] = []
+    for a in sorted(arguments, key=_INDEX):
+        (pro if a.claim.pursued else con).append(a)
+    shared = set(map(_INDEX, pro)).intersection(map(_INDEX, con))
+    if shared:
+        least = min(a.id for a in con if a.index in shared)
+        raise InputError(f"self-attack on {least!r} is not allowed")
+    return tuple(pro), tuple(con)
 
 
 def build_xaf(goal: str, arguments: Iterable[ExplanatoryArgument]) -> ExplanatoryAF:
@@ -249,18 +266,12 @@ def extensions_of(
     whole side defeats all of the other: grounded yields the empty set,
     complete the empty set and both sides, preferred and stable both sides.
     """
-    ordered = sorted(xaf.arguments, key=lambda a: a.index)
-    sides = {a.claim.pursued for a in ordered if a.decisive}
-    if len(sides) == 1:
-        return (tuple(a for a in ordered if a.claim.pursued in sides),)
-    pro = tuple(a for a in ordered if a.claim.pursued)
-    con = tuple(a for a in ordered if not a.claim.pursued)
+    pro, con = _sides(xaf.arguments)
+    decisive = {a.claim.pursued for a in xaf.arguments if a.decisive}
+    if len(decisive) == 1:
+        return (pro if True in decisive else con,)
     if not pro or not con:
         return (pro or con,)
-    # A pro and a con argument with one id would defeat themselves.
-    shared = {a.id for a in pro}.intersection(a.id for a in con)
-    if shared:
-        raise InputError(f"self-attack on {min(shared)!r} is not allowed")
     both = tuple(sorted((pro, con), key=lambda ext: [a.index for a in ext]))
     if semantics is Semantics.GROUNDED:
         return ((),)

@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 
+from .af_core import AbstractAF
 from .errors import InputError
 from .instrumental import GeneralAF, IncompatibilityKind
 
@@ -97,10 +98,16 @@ def apply_successful_attacks(goal_af: GoalAF) -> GoalAF:
 
     Strictly ordered pairs end up with a single direction (from the
     preferred goal); equal-preference pairs keep both directions.
-    Preferences are compared exactly, as integer weights.
+    Preferences are compared exactly, as integer weights.  An attack that
+    names an undeclared goal raises the `InputError` `select` raises.
     """
     if goal_af.stage is not Stage.RAW:
         raise InputError("successful-attack filtering expects a raw-stage goal framework")
     weight = goal_af.weights
-    kept = {(g, h): kinds for (g, h), kinds in goal_af.attacks.items() if weight[g] >= weight[h]}
+    try:
+        kept = {(g, h): kinds for (g, h), kinds in goal_af.attacks.items()
+                if weight[g] >= weight[h]}
+    except KeyError:
+        AbstractAF.of(goal_af.goals, goal_af.attacks)  # names the goal, as in `select`
+        raise
     return GoalAF(goal_af.pref, kept, Stage.FILTERED)

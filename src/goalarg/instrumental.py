@@ -5,8 +5,8 @@ for a plan achieving a goal, and every attack between two plans is labeled
 with the kinds of incompatibility that cause it (terminal, resource,
 superfluity).  How those attacks are identified from a knowledge base is
 out of scope here; scenario authors state the labeled relation directly.
-Label sets and exact values print through `format_kinds` and
-`format_rational`.
+Every label set is one of the eight in `LABEL_SETS`, the one place their
+spelling is decided; exact values print through `format_rational`.
 """
 
 from __future__ import annotations
@@ -29,13 +29,26 @@ class IncompatibilityKind(Enum):
     SUPERFLUITY = "s"
 
 
+# The eight label sets, keyed by their letters in t, r, s order; the parser
+# hands out these very sets.  Keys built from string literals hold the same
+# one-letter strings JSON parsing returns, so lookups match by identity.
+LABEL_SETS: dict[tuple[str, ...], frozenset[IncompatibilityKind]] = {
+    tuple(letters): frozenset(map(IncompatibilityKind, letters))
+    for letters in ("", "t", "r", "s", "tr", "ts", "rs", "trs")
+}
+# Each set's letters, as reports list them, and its printed form ("t,r").
+LETTERS = {kinds: letters for letters, kinds in LABEL_SETS.items()}
+_PRINTED = {kinds: ",".join(letters) for letters, kinds in LABEL_SETS.items()}
+
+
 def kinds_from_letters(letters: Iterable[str]) -> frozenset[IncompatibilityKind]:
-    return frozenset(IncompatibilityKind(letter) for letter in letters)
+    """The table's set for these letters, in any order and with repeats."""
+    return LABEL_SETS[LETTERS[frozenset(map(IncompatibilityKind, letters))]]
 
 
-def format_kinds(kinds: frozenset[IncompatibilityKind]) -> str:
+def format_kinds(kinds: Iterable[IncompatibilityKind]) -> str:
     """Render a label set as its letters in fixed t, r, s order: "t,r"."""
-    return ",".join(k.value for k in IncompatibilityKind if k in kinds)
+    return _PRINTED[frozenset(kinds)]
 
 
 def format_rational(value: Fraction) -> str:

@@ -24,13 +24,7 @@ from .explain import (
     extensions_of,
 )
 from .goal_graph import GoalAF, apply_successful_attacks, derive_goal_af
-from .instrumental import (
-    GoalDecl,
-    IncompatibilityKind,
-    format_kinds,
-    format_rational,
-    require_valid,
-)
+from .instrumental import LETTERS, GoalDecl, format_rational, require_valid
 from .scenario import RunConfig, Scenario
 from .selection import SelectionResult, UtilityVariant, select
 
@@ -82,13 +76,9 @@ def run_pipeline(
     )
 
 
-def _kinds_list(kinds: frozenset[IncompatibilityKind]) -> list[str]:
-    return format_kinds(kinds).split(",") if kinds else []
-
-
 def _attack_dicts(goal_af: GoalAF) -> list[dict[str, Any]]:
     return [
-        {"from": a, "to": b, "kinds": _kinds_list(kinds)}
+        {"from": a, "to": b, "kinds": list(LETTERS[kinds])}
         for (a, b), kinds in sorted(goal_af.attacks.items())
     ]
 
@@ -102,7 +92,7 @@ def belief_to_dict(belief: Belief) -> dict[str, Any]:
         "provenance": belief.provenance,
     }
     if belief.labels is not None:
-        entry["kinds"] = _kinds_list(belief.labels)
+        entry["kinds"] = list(LETTERS[belief.labels])
     return entry
 
 

@@ -25,6 +25,7 @@ from typing import Any
 from .af_core import Semantics
 from .errors import ScenarioError
 from .instrumental import (
+    LABEL_SETS,
     GeneralAF,
     GoalDecl,
     IncompatibilityKind,
@@ -155,22 +156,13 @@ def _parse_goals(doc: Mapping[str, Any]) -> tuple[GoalDecl, ...]:
     return tuple(out)
 
 
-# Every label set, keyed by its letters in t, r, s order (the order reports
-# print), so that attack entries spelled that way share seven sets instead
-# of building one each; any other spelling takes the located checks.
-_LABEL_SETS = {
-    tuple(letters): kinds_from_letters(letters)
-    for letters in ("t", "r", "s", "tr", "ts", "rs", "trs")
-}
-
-
 def _parse_attack_entries(
     raw: Any, key: str
 ) -> dict[tuple[str, str], frozenset[IncompatibilityKind]]:
     """Each entry gets one cheap test: a plain dict with ASCII string ends,
-    a list of kinds spelled in t, r, s order, and a pair that is new or
-    repeats its label set.  Any other entry goes through the located checks
-    of `_checked_attack_entry`, which name its first fault."""
+    a kinds list keying a nonempty set of `LABEL_SETS`, and a pair that is
+    new or repeats its label set.  Any other entry goes through the located
+    checks of `_checked_attack_entry`, which name its first fault."""
     _expect(isinstance(raw, list), f"'{key}' must be a list", key)
     attacks: dict[tuple[str, str], frozenset[IncompatibilityKind]] = {}
     for i, entry in enumerate(raw):
@@ -179,10 +171,10 @@ def _parse_attack_entries(
             if (type(source) is str and type(target) is str and type(letters) is list
                     and source.isascii() and target.isascii()):
                 try:
-                    kinds = _LABEL_SETS.get(tuple(letters))
-                except TypeError:  # an unhashable letter
+                    kinds = LABEL_SETS[tuple(letters)]
+                except (KeyError, TypeError):  # another spelling, or an unhashable letter
                     kinds = None
-                if kinds is not None and attacks.setdefault((source, target), kinds) is kinds:
+                if kinds and attacks.setdefault((source, target), kinds) is kinds:
                     continue
         pair, kinds = _checked_attack_entry(entry, f"{key}[{i}]", attacks)
         attacks[pair] = kinds
@@ -208,7 +200,7 @@ def _checked_attack_entry(
     if not (isinstance(letters, list) and letters):
         raise ScenarioError("'kinds' must be a nonempty list", f"{where}.kinds")
     for letter in letters:
-        if letter not in ("t", "r", "s"):
+        if not (isinstance(letter, str) and (letter,) in LABEL_SETS):
             raise ScenarioError(f"unknown incompatibility kind {letter!r}", f"{where}.kinds")
     kinds = kinds_from_letters(letters)
     if attacks.get((source, target), kinds) != kinds:

@@ -4,6 +4,7 @@ import copy
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CLEANER_WORLD, GOLDEN_DIR, REPO_ROOT
+from conftest import CLEANER_WORLD, GOLDEN_DIR, REPO_ROOT, random_general_af
+from goalarg import load_scenario, run_pipeline
 from goalarg.cli import main
 
 
@@ -507,6 +509,59 @@ def test_every_semantics_answers_a_large_clique_quickly(tmp_path):
         outputs[semantics] = done.stdout
     assert len(outputs["grounded"].splitlines()) == 24
     assert set(outputs.values()) == {outputs["grounded"]}
+
+
+def plan_level_doc(gaf):
+    """A scenario document stating the plan level `gaf` as it is."""
+    return {
+        "goals": [{"id": g.id, "predicate": g.predicate, "preference": str(g.preference)}
+                  for g in gaf.goals],
+        "arguments": [{"id": a.id, "claim": a.claim, "sub_args": list(a.sub_args)}
+                      for a in gaf.args],
+        "attacks": [{"from": a, "to": b, "kinds": [k.value for k in kinds]}
+                    for (a, b), kinds in gaf.attacks.items()],
+    }
+
+
+# Runs each command line given as JSON in this interpreter and prints, as
+# JSON, every exit code with what the command wrote to stdout and stderr.
+COMMANDS_SCRIPT = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from goalarg.cli import main
+outputs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    outputs.append([argv, code, out.getvalue(), err.getvalue()])
+print(json.dumps(outputs))
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # String hashing, and so set and dict-of-set iteration order, changes
+    # with the seed; what the commands print must not.
+    rng = random.Random(19)
+    paths = [CLEANER_WORLD]
+    for i in range(3):
+        paths.append(tmp_path / f"random{i}.json")
+        paths[-1].write_text(json.dumps(plan_level_doc(random_general_af(rng))), encoding="utf-8")
+    commands = []
+    for path in map(str, paths):
+        report = run_pipeline(load_scenario(path))
+        commands += [["validate", path], ["report", path]]
+        commands += [["explain", "why" if g in report.selection.pursued else "why-not", g, path]
+                     for g in report.gaf_sc.goals]
+    printed = {}
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-c", COMMANDS_SCRIPT, json.dumps(commands)],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 0, done.stderr
+        printed[seed] = json.loads(done.stdout)
+    assert all(code == 0 and out and not err for _, code, out, err in printed["0"])
+    assert printed["0"] == printed["1"]
 
 
 def test_deep_sub_argument_chain_validates(run, tmp_path):

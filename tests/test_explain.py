@@ -506,12 +506,30 @@ def test_extensions_of_never_builds_an_abstract_framework(monkeypatch):
     assert guarded(xaf, Semantics.STABLE) == (pro, con)
 
 
-@pytest.mark.parametrize("semantics", list(Semantics))
-def test_a_pro_and_a_con_argument_sharing_an_id_are_rejected(semantics):
+def contested_with_shared_ids():
     # No side holds a decisive argument, and two con arguments take the ids
     # of pro arguments A9 and A10: the least shared id, as a string, is named.
     xaf = contested_xaf(10)
     con = [replace(a, index=i) for a, i in zip(xaf.arguments[10:], [9, 10])]
-    shared = replace(xaf, arguments=xaf.arguments[:10] + tuple(con) + xaf.arguments[12:])
-    with pytest.raises(InputError, match=r"^self-attack on 'A10' is not allowed$"):
-        extensions_of(shared, semantics)
+    return replace(xaf, arguments=xaf.arguments[:10] + tuple(con) + xaf.arguments[12:]), "A10"
+
+
+def cleaner_g2_with_shared_id():
+    # Only the con side (A8, decisive A13) holds a decisive argument, and
+    # the pro argument A3 takes the id A13.
+    filtered = apply_successful_attacks(derive_goal_af(cleaner_general_af()))
+    xaf = build_explanation_model(filtered, select(filtered)).xafs["g2"]
+    assert [(a.id, a.claim.pursued, a.decisive) for a in xaf.arguments] == [
+        ("A3", True, False), ("A8", False, False), ("A13", False, True)]
+    moved = tuple(replace(a, index=13) if a.claim.pursued else a for a in xaf.arguments)
+    return replace(xaf, arguments=moved), "A13"
+
+
+@pytest.mark.parametrize("semantics", list(Semantics))
+def test_a_pro_and_a_con_argument_sharing_an_id_are_rejected(semantics):
+    for shared, least in (contested_with_shared_ids(), cleaner_g2_with_shared_id()):
+        message = rf"^self-attack on '{least}' is not allowed$"
+        with pytest.raises(InputError, match=message):
+            extensions_of(shared, semantics)
+        with pytest.raises(InputError, match=message):
+            shared.defeats

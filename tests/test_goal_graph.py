@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,13 +9,16 @@ import pytest
 from conftest import CLEANER_GOALS, cleaner_general_af, random_goal_af, random_loose_general_af
 from goalarg import (
     GeneralAF,
+    GoalAF,
     GoalDecl,
     InputError,
     InstrumentalArgDecl,
     Stage,
     apply_successful_attacks,
     derive_goal_af,
+    generate_beliefs,
     kinds_from_letters,
+    select,
 )
 from oracles import conflict_pairs, derive_brute
 
@@ -128,6 +132,25 @@ def test_filtering_requires_raw_stage():
     filtered = apply_successful_attacks(derive_goal_af(cleaner_general_af()))
     with pytest.raises(InputError):
         apply_successful_attacks(filtered)
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([("a", "x")], "attack (a, x): unknown node 'x'"),
+    ([("x", "a")], "attack (x, a): unknown node 'x'"),
+    ([("a", "x"), ("x", "a")], "attack (a, x): unknown node 'x'"),
+    ([("b", "a"), ("a", "b"), ("y", "x")], "attack (y, x): unknown node 'y'"),
+], ids=["target", "attacker", "both-directions", "after-known-pairs"])
+def test_an_attack_on_an_undeclared_goal_is_refused_as_select_refuses_it(pairs, message):
+    pref = {"a": Fraction(1, 2), "b": Fraction(1, 2)}
+    attacks = dict.fromkeys(pairs, kinds_from_letters("t"))
+    filtered = GoalAF(pref, attacks, Stage.FILTERED)
+    selection = select(GoalAF(pref, {}, Stage.FILTERED))
+    calls = (lambda: apply_successful_attacks(GoalAF(pref, attacks, Stage.RAW)),
+             lambda: select(filtered),
+             lambda: generate_beliefs(filtered, selection))
+    for call in calls:
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_filtering_is_monotone_and_preserves_conflict_pairs():

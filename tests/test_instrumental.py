@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -17,9 +18,13 @@ from goalarg import (
     ValidationIssue,
     format_kinds,
     kinds_from_letters,
+    parse_scenario,
+    report_to_dict,
     require_valid,
+    run_pipeline,
     validate,
 )
+from goalarg.instrumental import LABEL_SETS
 from oracles import args_for_goal, attacks_with_kind
 
 
@@ -278,6 +283,26 @@ def test_every_argument_belongs_to_exactly_its_claim_goal():
 
 
 def test_format_kinds_fixed_order():
+    # All eight label sets, each spelled in every letter order and with its
+    # first letter repeated: the printed form, the parsed goal_attacks entry
+    # and the report's kinds lists all follow t, r, s order.
     assert format_kinds(kinds_from_letters("rt")) == "t,r"
     assert format_kinds(kinds_from_letters("srt")) == "t,r,s"
     assert format_kinds(frozenset()) == ""
+    goals = [{"id": g, "predicate": f"{g}()", "preference": 0.5} for g in ("a", "b")]
+    for size in range(4):
+        for letters in combinations("trs", size):
+            orders = list(permutations(letters))
+            for spelling in orders + [order + order[:1] for order in orders if order]:
+                kinds = kinds_from_letters(spelling)
+                assert kinds == {IncompatibilityKind(letter) for letter in letters}
+                assert format_kinds(kinds) == format_kinds(list(kinds)) == ",".join(letters)
+                if not letters:
+                    continue
+                attack = {"from": "a", "to": "b", "kinds": list(spelling)}
+                scenario = parse_scenario({"goals": goals, "goal_attacks": [attack]})
+                assert scenario.general.attacks[("a", "b")] is LABEL_SETS[letters]
+                report = report_to_dict(run_pipeline(scenario))
+                listed = [entry["kinds"] for entry in report["goal_af"]["raw_attacks"]]
+                listed += [b["kinds"] for b in report["beliefs"] if b["kind"] == "incompat"]
+                assert listed == [list(letters)] * 4
