@@ -5,12 +5,15 @@ goals are conflict-free, which goal is preferred over which, what kinds of
 conflict connect each attacking pair, and who made it into the
 maximum-utility set.  They live in their own store rather than being mixed
 into a general belief base, which keeps explanation provenance clean.
+
+A belief is an immutable named tuple: it is built with one tuple
+allocation, copied with `_replace`, and compared by shape alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .af_core import AbstractAF
 from .errors import InputError
@@ -35,16 +38,34 @@ _NEGATED = {BeliefKind.NOT_INCOMP: "incomp", BeliefKind.NOT_PREF: "pref",
             BeliefKind.NOT_MAX_UTIL: "max_util"}
 
 
-@dataclass(frozen=True)
-class Belief:
-    """One ground fact.  Equality and hashing ignore the bookkeeping fields,
-    so beliefs compare by shape alone."""
+def _equal_on_first(n: int):
+    """`__eq__`, `__ne__` and `__hash__` for a named tuple that compares on
+    its first n fields and equals only instances of its own class.  Tuple's
+    own `__ne__` would compare every field, so it is replaced too."""
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self[:n] == other[:n]
+
+    def __ne__(self, other):
+        return other.__class__ is not self.__class__ or self[:n] != other[:n]
+
+    def __hash__(self):
+        return hash(self[:n])
+
+    return __eq__, __ne__, __hash__
+
+
+class Belief(NamedTuple):
+    """One ground fact.  Equality and hashing ignore the bookkeeping fields
+    `index` and `provenance`, so beliefs compare by shape alone."""
 
     kind: BeliefKind
     goals: tuple[str, ...]
     labels: frozenset[IncompatibilityKind] | None = None
-    index: int = field(default=0, compare=False)
-    provenance: str = field(default="", compare=False)
+    index: int = 0
+    provenance: str = ""
+
+    __eq__, __ne__, __hash__ = _equal_on_first(3)
 
     @property
     def id(self) -> str:
@@ -92,27 +113,20 @@ def generate_beliefs(gaf_sc: GoalAF, selection: SelectionResult) -> tuple[Belief
     if not selection.pursued <= set(gaf_sc.goals):
         raise InputError("selection result does not belong to this goal framework")
 
-    beliefs: list[Belief] = []
-
-    def add(kind: BeliefKind, goals: tuple[str, ...], provenance: str,
-            labels: frozenset[IncompatibilityKind] | None = None) -> None:
-        beliefs.append(Belief(kind, goals, labels, len(beliefs) + 1, provenance))
-
-    for g in sorted(comps(gaf_sc)):
-        add(BeliefKind.NOT_INCOMP, (g,), "no-conflicts")
-    for pair, kinds in sorted(gaf_sc.attacks.items()):
-        add(BeliefKind.INCOMPAT, pair, "conflict-kinds", kinds)
-    for g in sorted(selection.pursued):
-        add(BeliefKind.MAX_UTIL, (g,), "max-utility")
-    for g in sorted(set(gaf_sc.goals) - selection.pursued):
-        add(BeliefKind.NOT_MAX_UTIL, (g,), "non-max-utility")
+    attacks = gaf_sc.attacks
     weight = gaf_sc.weights
+    # (kind, goals, labels, provenance), numbered in one pass below.
+    shapes = [(BeliefKind.NOT_INCOMP, (g,), None, "no-conflicts") for g in sorted(comps(gaf_sc))]
+    shapes += [(BeliefKind.INCOMPAT, pair, kinds, "conflict-kinds")
+               for pair, kinds in sorted(attacks.items())]
+    shapes += [(BeliefKind.MAX_UTIL, (g,), None, "max-utility") for g in sorted(selection.pursued)]
+    shapes += [(BeliefKind.NOT_MAX_UTIL, (g,), None, "non-max-utility")
+               for g in sorted(set(gaf_sc.goals) - selection.pursued)]
     for (g, h) in sorted(eval_pref(gaf_sc)):
         if weight[g] > weight[h]:
-            add(BeliefKind.PREF, (g, h), "preference-order")
-            add(BeliefKind.NOT_PREF, (h, g), "preference-order")
-    for (g, h) in sorted(gaf_sc.attacks):
-        if (h, g) in gaf_sc.attacks:
-            add(BeliefKind.EQ_PREF, (g, h), "equal-preference")
-
-    return tuple(beliefs)
+            shapes += ((BeliefKind.PREF, (g, h), None, "preference-order"),
+                       (BeliefKind.NOT_PREF, (h, g), None, "preference-order"))
+    shapes += [(BeliefKind.EQ_PREF, (g, h), None, "equal-preference")
+               for (g, h) in sorted(attacks) if (h, g) in attacks]
+    return tuple([Belief(kind, goals, labels, index, provenance)
+                  for index, (kind, goals, labels, provenance) in enumerate(shapes, 1)])

@@ -133,11 +133,16 @@ def _cmd_report(scenario: Scenario, args: argparse.Namespace) -> int:
 
 
 def _cmd_export(scenario: Scenario, args: argparse.Namespace) -> int:
+    stage = args.dot
+    if stage != "xaf" and args.goal is not None:
+        raise InputError(f"--goal applies only to --dot xaf, not --dot {stage}")
+    if stage == "xaf" and not args.goal:
+        raise InputError("exporting an explanatory framework needs --goal")
+
     from .explain import complete_explanation
     from .pipeline import run_pipeline
     from .render import export_dot
 
-    stage = args.dot
     if stage == "general":
         general = require_valid(scenario.general)
         af = AbstractAF.of((a.id for a in general.args), general.attacks.keys())
@@ -151,8 +156,6 @@ def _cmd_export(scenario: Scenario, args: argparse.Namespace) -> int:
     if stage == "goals":
         sys.stdout.write(export_dot(report.gaf_sc, names))
         return 0
-    if not args.goal:
-        raise InputError("exporting an explanatory framework needs --goal")
     sys.stdout.write(export_dot(complete_explanation(report.model, args.goal).xaf))
     return 0
 

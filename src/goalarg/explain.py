@@ -17,26 +17,30 @@ so every pipeline framework has one decisive argument (r5 or r6),
 unattacked and defeating each opponent: under every semantics its one
 extension is the side that agrees with the selection, so a framework
 derives its defeat edges only when they are first read.
+
+Claims, rule instances and arguments are immutable named tuples, built
+with one tuple allocation each.  A rule instance or an argument compares
+on every field but its `index`, so copies with other ids are equal.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 from .af_core import Semantics
-from .belief_gen import Belief, BeliefKind, generate_beliefs
+from .belief_gen import Belief, BeliefKind, _equal_on_first, generate_beliefs
 from .errors import InputError, QueryDirectionError
 from .goal_graph import GoalAF
 from .instrumental import IncompatibilityKind, format_kinds
 from .selection import SelectionResult
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """pursued(g) or its negation."""
 
     goal: str
@@ -79,8 +83,7 @@ SCHEMAS: tuple[RuleSchema, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class RuleInstance:
+class RuleInstance(NamedTuple):
     """A schema applied to concrete goals.  The six schemas only ever bind
     x, y, and a label set, so the substitution is stored flat."""
 
@@ -90,7 +93,9 @@ class RuleInstance:
     labels: frozenset[IncompatibilityKind] | None
     body: tuple[Belief, ...]
     head: Claim
-    index: int = field(default=0, compare=False)
+    index: int = 0
+
+    __eq__, __ne__, __hash__ = _equal_on_first(6)
 
     @property
     def id(self) -> str:
@@ -135,6 +140,7 @@ def trigger_rules(beliefs: Iterable[Belief]) -> tuple[RuleInstance, ...]:
         tables = [(itemgetter(*map(where, atom.vars)), by_kind[atom.kind]) for atom in rest]
         x, head = where("x"), where(schema.head_var)
         y = where("y") if "y" in first.vars else None
+        labeled, pursued = first.kind is BeliefKind.INCOMPAT, schema.head_pursued
         for goals, belief in ordered[first.kind]:
             body = [belief]
             for pick, table in tables:
@@ -143,8 +149,8 @@ def trigger_rules(beliefs: Iterable[Belief]) -> tuple[RuleInstance, ...]:
                     break
                 body.append(hit)
             else:
-                labels = belief.labels if first.kind is BeliefKind.INCOMPAT else None
-                key = (goals[head], schema.head_pursued)
+                labels = belief.labels if labeled else None
+                key = (goals[head], pursued)
                 claim = claims.get(key) or claims.setdefault(key, Claim(*key))
                 instances.append(RuleInstance(schema, goals[x], None if y is None else goals[y],
                                               labels, tuple(body), claim, len(instances) + 1))
@@ -154,12 +160,13 @@ def trigger_rules(beliefs: Iterable[Belief]) -> tuple[RuleInstance, ...]:
 SupportElement = Belief | RuleInstance
 
 
-@dataclass(frozen=True)
-class ExplanatoryArgument:
+class ExplanatoryArgument(NamedTuple):
     """One rule instance packaged with its ground body: support plus claim."""
 
     instance: RuleInstance
-    index: int = field(default=0, compare=False)
+    index: int = 0
+
+    __eq__, __ne__, __hash__ = _equal_on_first(1)
 
     @property
     def id(self) -> str:

@@ -3,14 +3,15 @@
 Each rule schema has one sentence template; which template applies to an
 argument is decided by the rule its instance came from.  Templates are
 plain data, so adding schemes later needs no engine change.  Only partial
-explanations render as sentences; complete explanations are graphs and go
-out as DOT or structured documents.
+explanations render as sentences, each an immutable named tuple;
+complete explanations are graphs and go out as DOT or structured
+documents.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .af_core import AbstractAF
 from .errors import InputError
@@ -41,8 +42,7 @@ SENTENCE_TEMPLATES: Mapping[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class ExplanatorySentence:
+class ExplanatorySentence(NamedTuple):
     argument_id: str
     scheme_id: str
     text: str

@@ -291,6 +291,26 @@ def test_export_xaf_requires_goal(run):
     assert (code, err) == (1, "error: unknown goal 'g9'\n")
 
 
+@pytest.mark.parametrize("stage", ["general", "goals-raw", "goals"])
+@pytest.mark.parametrize("goal", ["g1", "g9", ""])
+def test_export_refuses_goal_outside_xaf(run, stage, goal):
+    code, out, err = run("export", CLEANER_WORLD, "--dot", stage, "--goal", goal)
+    expected = f"error: --goal applies only to --dot xaf, not --dot {stage}\n"
+    assert (code, out, err) == (1, "", expected)
+
+
+@pytest.mark.parametrize("argv", [["--dot", "xaf"], ["--dot", "goals", "--goal", "g1"]],
+                         ids=["xaf-without-goal", "goal-without-xaf"])
+def test_export_usage_errors_come_before_the_pipeline(run, monkeypatch, argv):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("export ran the pipeline before checking --goal")
+
+    monkeypatch.setattr("goalarg.pipeline.run_pipeline", forbidden)
+    code, out, err = run("export", CLEANER_WORLD, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--goal" in err
+
+
 def test_direct_goal_attack_path(run, tmp_path):
     path = write_scenario(tmp_path, DIRECT_DOC)
     code, out, _ = run("select", path)

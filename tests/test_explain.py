@@ -12,9 +12,11 @@ from goalarg import (
     BeliefKind,
     Claim,
     ExplanationKind,
+    ExplanatoryArgument,
     InputError,
     QueryDirectionError,
     QueryKind,
+    RuleInstance,
     Semantics,
     apply_successful_attacks,
     build_explanation_model,
@@ -29,6 +31,7 @@ from goalarg import (
     kinds_from_letters,
     parse_scenario,
     preferred_extensions,
+    render_argument,
     require_valid,
     run_pipeline,
     select,
@@ -178,13 +181,62 @@ def test_construct_rejects_foreign_instances(cleaner_model):
 
 
 def test_construct_accepts_instances_triggered_from_equal_copies(cleaner_model):
-    copies = tuple(replace(b) for b in cleaner_model.beliefs)
+    copies = tuple(b._replace() for b in cleaner_model.beliefs)
     arguments = construct_arguments(cleaner_model.beliefs, trigger_rules(copies))
     assert [str(a) for a in arguments] == [str(a) for a in cleaner_model.arguments]
     foreign = trigger_rules(copies[:1] + (Belief(BeliefKind.NOT_INCOMP, ("other",), index=99),))
     with pytest.raises(InputError) as err:
         construct_arguments(cleaner_model.beliefs, foreign)
     assert str(err.value) == f"instance {foreign[-1].id} was not triggered from these beliefs"
+
+
+def test_records_compare_as_before(cleaner_model):
+    # Beliefs compare on (kind, goals, labels), rule instances and arguments
+    # on every field but `index`, and each record equals only its own class.
+    belief = next(b for b in cleaner_model.beliefs if b.kind is BeliefKind.INCOMPAT)
+    inst, arg = cleaner_model.instances[3], cleaner_model.arguments[3]
+    other_labels = kinds_from_letters("rs" if belief.labels != kinds_from_letters("rs") else "t")
+    equal = [
+        (belief, belief._replace(index=99)),
+        (belief, belief._replace(provenance="elsewhere")),
+        (inst, inst._replace(index=99)),
+        (arg, arg._replace(index=99)),
+        (arg, arg._replace(instance=inst._replace(index=99))),
+    ]
+    unequal = [
+        (belief, belief._replace(goals=belief.goals[::-1])),
+        (belief, belief._replace(labels=other_labels)),
+        (inst, inst._replace(x="elsewhere")),
+        (inst, inst._replace(head=negation(inst.head))),
+        (arg, arg._replace(instance=cleaner_model.instances[4])),
+        # Same leading fields, other class: never equal, either way round.
+        (belief, RuleInstance(*belief, None, belief.index)),
+        (belief, ExplanatoryArgument(*belief[:2])),
+        (inst, ExplanatoryArgument(*inst[:2])),
+        (belief, tuple(belief)),
+    ]
+    for a, b in equal + unequal:
+        for left, right in ((a, b), (b, a)):
+            assert (left != right) is (not left == right)
+    for a, b in equal:
+        assert a == b and hash(a) == hash(b) and b in {a}
+    for a, b in unequal:
+        assert a != b and b != a and b not in {a}
+
+    sentence = render_argument(arg, {g: g for g in "g1 g2 g3 g4 g5".split()})
+    for record, name in ((belief, "index"), (inst, "index"), (arg, "index"),
+                         (arg.claim, "goal"), (sentence, "text")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+    fact = Belief(BeliefKind.INCOMPAT, ("a", "b"), kinds_from_letters("t"), 3, "conflict-kinds")
+    assert repr(fact) == (
+        "Belief(kind=<BeliefKind.INCOMPAT: 'incompat'>, goals=('a', 'b'), "
+        "labels=frozenset({<IncompatibilityKind.TERMINAL: 't'>}), "
+        "index=3, provenance='conflict-kinds')"
+    )
 
 
 def by_shape(model, schema_id, x, y=None):
@@ -451,7 +503,7 @@ def test_pooled_frameworks_match_af_core_under_every_semantics():
             other = replace(selection, pursued=pursued)
         first = build_explanation_model(filtered, selection).arguments
         second = build_explanation_model(filtered, other).arguments
-        pool = first + tuple(replace(a, index=a.index + len(first)) for a in second)
+        pool = first + tuple(a._replace(index=a.index + len(first)) for a in second)
         for goal in goals:
             for _ in range(8):
                 xaf = build_xaf(goal, rng.sample(pool, rng.randint(0, len(pool))))
@@ -510,7 +562,7 @@ def contested_with_shared_ids():
     # No side holds a decisive argument, and two con arguments take the ids
     # of pro arguments A9 and A10: the least shared id, as a string, is named.
     xaf = contested_xaf(10)
-    con = [replace(a, index=i) for a, i in zip(xaf.arguments[10:], [9, 10])]
+    con = [a._replace(index=i) for a, i in zip(xaf.arguments[10:], [9, 10])]
     return replace(xaf, arguments=xaf.arguments[:10] + tuple(con) + xaf.arguments[12:]), "A10"
 
 
@@ -521,7 +573,7 @@ def cleaner_g2_with_shared_id():
     xaf = build_explanation_model(filtered, select(filtered)).xafs["g2"]
     assert [(a.id, a.claim.pursued, a.decisive) for a in xaf.arguments] == [
         ("A3", True, False), ("A8", False, False), ("A13", False, True)]
-    moved = tuple(replace(a, index=13) if a.claim.pursued else a for a in xaf.arguments)
+    moved = tuple(a._replace(index=13) if a.claim.pursued else a for a in xaf.arguments)
     return replace(xaf, arguments=moved), "A13"
 
 
