@@ -11,6 +11,7 @@ spelling is decided; exact values print through `format_rational`.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -49,6 +50,12 @@ def kinds_from_letters(letters: Iterable[str]) -> frozenset[IncompatibilityKind]
 def format_kinds(kinds: Iterable[IncompatibilityKind]) -> str:
     """Render a label set as its letters in fixed t, r, s order: "t,r"."""
     return _PRINTED[frozenset(kinds)]
+
+
+# The interpreter converts at most this many digits between int and str;
+# with that limit switched off, its default still bounds what is accepted.
+MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+DIGITS_BOUND = 10**MAX_DIGITS  # the least integer with too many digits to print
 
 
 def format_rational(value: Fraction) -> str:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +24,9 @@ from typing import Any
 from .af_core import Semantics
 from .errors import ScenarioError
 from .instrumental import (
+    DIGITS_BOUND,
     LABEL_SETS,
+    MAX_DIGITS,
     GeneralAF,
     GoalDecl,
     IncompatibilityKind,
@@ -74,22 +75,18 @@ def _has_surrogate(text: str) -> bool:
     return not text.isascii() and _SURROGATE.search(text) is not None
 
 
-# The interpreter converts at most this many digits between int and str;
-# with that limit switched off, its default still bounds what is accepted.
-_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-_DIGITS_BOUND = 10**_MAX_DIGITS
-_PLACES_BOUNDS = (2**_MAX_DIGITS, 5**_MAX_DIGITS)
+_PLACES_BOUNDS = (2**MAX_DIGITS, 5**MAX_DIGITS)
 _TOO_LONG = "preference has more digits than can be printed"
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
 def _exact(text: str) -> Fraction:
-    """`Fraction(text)`, but an exponent past `_MAX_DIGITS` raises up front:
+    """`Fraction(text)`, but an exponent past `MAX_DIGITS` raises up front:
     such a value never prints, and `Fraction` would build 10**exp exactly
     (seconds for "1e-9999999")."""
     match = _EXPONENT.search(text)
     digits = match.group(1).replace("_", "").lstrip("0") if match else ""
-    if len(digits) > 9 or int(digits or 0) > _MAX_DIGITS:
+    if len(digits) > 9 or int(digits or 0) > MAX_DIGITS:
         raise OverflowError(f"exponent too large in {text!r}")
     return Fraction(text)
 
@@ -151,7 +148,7 @@ def _parse_goals(doc: Mapping[str, Any]) -> tuple[GoalDecl, ...]:
     # their LCM, its numerator is at most len(out) times that, and its decimal
     # places are at most the LCM's count of factor 2 or of 5, whichever is more.
     lcm = math.lcm(*(g.preference.denominator for g in out))
-    printable = len(out) * lcm < _DIGITS_BOUND and all(lcm % b for b in _PLACES_BOUNDS)
+    printable = len(out) * lcm < DIGITS_BOUND and all(lcm % b for b in _PLACES_BOUNDS)
     _expect(printable, "preferences sum to more digits than can be printed", "goals")
     return tuple(out)
 

@@ -7,10 +7,14 @@ least (by sorted goal ids) as the deterministic primary choice, and ties
 left visible so explanations can mention them.
 
 Utilities are exact rationals end to end, so the argmax is never subject
-to floating-point noise.  The sets are walked once (`af_core`) with
-integer scores: the goal graph's weights (each preference times the LCM
-of all denominators), with uncounted goals at 0, which order sets
-exactly as the rational sums do.  Only the maxima are built as sets.
+to floating-point noise.  `af_core` counts the sets and finds the maxima
+by connected components of the conflict graph, without listing every
+set, using integer scores: the goal graph's weights (each preference
+times the LCM of all denominators), with uncounted goals at 0, which
+order sets exactly as the rational sums do.  Only the maxima are built
+as sets.  A count too long to print (2**n for n unconflicted goals, past
+about 14,280 of them) is refused, as preferences that cannot be printed
+are.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from fractions import Fraction
 from . import af_core
 from .errors import InputError
 from .goal_graph import GoalAF, Stage
+from .instrumental import DIGITS_BOUND
 
 
 class UtilityVariant(Enum):
@@ -45,7 +50,7 @@ def select(
     utility: UtilityVariant = UtilityVariant.SUM_ALL,
     main_goals: frozenset[str] | None = None,
 ) -> SelectionResult:
-    """Walk the conflict-free goal sets and return the utility maxima."""
+    """Count the conflict-free goal sets and return the utility maxima."""
     if gaf_sc.stage is not Stage.FILTERED:
         raise InputError("selection expects a successful-attack-filtered goal framework")
     weights = gaf_sc.weights
@@ -59,6 +64,9 @@ def select(
 
     af = af_core.AbstractAF.of(gaf_sc.goals, gaf_sc.attacks)
     count, best, maxima = af_core.max_weight_conflict_free(af, weights)
+    if count >= DIGITS_BOUND:  # reports print the count
+        raise InputError("the number of conflict-free goal sets has more digits "
+                         "than can be printed")
     return SelectionResult(
         pursued=maxima[0],
         winning_utility=Fraction(best, gaf_sc.scale),

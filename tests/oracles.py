@@ -106,22 +106,35 @@ def all_semantics_brute(nodes, attacks):
     }
 
 
+def conflict_free_subsets(goals, conflicts):
+    """Every subset of `goals` that contains no conflict pair, in either
+    direction, the empty set first.  A subset is a bitmask over the sorted
+    goals, and a pair is inside it when both of the pair's bits are set."""
+    items = sorted(goals)
+    bit = {g: 1 << i for i, g in enumerate(items)}
+    pairs = {bit[a] | bit[b] for a, b in conflicts}
+    return [
+        frozenset(g for g in items if mask & bit[g])
+        for mask in range(1 << len(items))
+        if all(mask & pair != pair for pair in pairs)
+    ]
+
+
 def max_utility_brute(goals, conflicts, weights):
     """All maximum-weight conflict-free goal sets, plus count and maximum.
 
     `conflicts` may be directed; a pair in either direction keeps the two
     goals apart.
     """
-    sym = set(conflicts) | {(b, a) for (a, b) in conflicts}
-    candidates = [s for s in powerset(goals) if is_conflict_free(s, sym)]
-    best = max(
-        (sum((weights[g] for g in s), start=Fraction(0)) for s in candidates),
-        default=Fraction(0),
-    )
-    maxima = {
-        s for s in candidates
-        if sum((weights[g] for g in s), start=Fraction(0)) == best
-    }
+    candidates = conflict_free_subsets(goals, conflicts)
+    # A set's total is its parent's, the set without its last goal, plus
+    # that goal's weight; the parent is conflict-free too, and comes first.
+    totals = {frozenset(): Fraction(0)}
+    for s in candidates[1:]:
+        last = max(s)
+        totals[s] = totals[s - {last}] + weights[last]
+    best = max(totals.values())
+    maxima = {s for s, total in totals.items() if total == best}
     return maxima, best, len(candidates)
 
 
@@ -148,10 +161,11 @@ def select_brute(goals, conflicts, pref, main_goals=None):
     else:
         def score(s):
             return utility_sum_main(s, pref, main_goals)
-    sym = set(conflicts) | {(b, a) for (a, b) in conflicts}
-    candidates = [s for s in powerset(goals) if is_conflict_free(s, sym)]
-    best = max(score(s) for s in candidates)
-    maxima = sorted((s for s in candidates if score(s) == best), key=lambda s: tuple(sorted(s)))
+    candidates = conflict_free_subsets(goals, conflicts)
+    totals = {s: score(s) for s in candidates}
+    best = max(totals.values())
+    maxima = sorted((s for s, total in totals.items() if total == best),
+                    key=lambda s: tuple(sorted(s)))
     return maxima[0], best, tuple(maxima), len(candidates)
 
 

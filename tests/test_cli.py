@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CLEANER_WORLD, GOLDEN_DIR, REPO_ROOT, random_general_af
-from goalarg import load_scenario, run_pipeline
+from goalarg import load_scenario, run_pipeline, selection
 from goalarg.cli import main
 
 
@@ -529,6 +529,51 @@ def test_every_semantics_answers_a_large_clique_quickly(tmp_path):
         outputs[semantics] = done.stdout
     assert len(outputs["grounded"].splitlines()) == 24
     assert set(outputs.values()) == {outputs["grounded"]}
+
+
+def chain_doc(n, linked):
+    """n goals at one preference; with `linked`, goal i conflicts with goal
+    i + 1, so the conflict graph is a path, and otherwise it has no edge."""
+    goals = [{"id": f"g{i:04d}", "predicate": f"task{i}()", "preference": 0.5}
+             for i in range(n)]
+    attacks = [{"from": a["id"], "to": b["id"], "kinds": ["r"]}
+               for a, b in zip(goals, goals[1:])] if linked else []
+    return {"goals": goals, "goal_attacks": attacks}
+
+
+def run_cli_subprocess(*argv, timeout):
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    return subprocess.run([sys.executable, "-m", "goalarg.cli", *map(str, argv)],
+                          capture_output=True, text=True, timeout=timeout, env=env)
+
+
+@pytest.mark.parametrize("n", [24, 1200], ids=["isolated-24", "free-1200"])
+def test_select_counts_unconflicted_goals_in_closed_form(tmp_path, n):
+    # Each unconflicted goal doubles the conflict-free sets; counted by
+    # components, that costs no time.
+    done = run_cli_subprocess("select", write_scenario(tmp_path, chain_doc(n, False)),
+                              timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert f"conflict-free sets: {2**n}\n" in done.stdout
+    assert "utility: " + str(n // 2) + "\n" in done.stdout
+
+
+def test_select_on_a_long_conflict_path_ends_in_an_exit_code(tmp_path):
+    # One large sparse component: branching nests about once per two goals.
+    done = run_cli_subprocess("select", write_scenario(tmp_path, chain_doc(1500, True)),
+                              timeout=120)
+    assert done.returncode in (0, 1)
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+    assert done.stderr == "" if done.returncode == 0 else len(errors) == 1, done.stderr
+
+
+def test_a_count_too_long_to_print_is_an_error_line(run, tmp_path, monkeypatch):
+    # The real bound (about 14,285 unconflicted goals) is pinned in
+    # test_selection; here the CLI must turn it into one error line.
+    monkeypatch.setattr(selection, "DIGITS_BOUND", 10**7)
+    code, out, err = run("select", write_scenario(tmp_path, chain_doc(24, False)))
+    assert (code, out) == (1, "")
+    assert err == "error: the number of conflict-free goal sets has more digits than can be printed\n"
 
 
 def plan_level_doc(gaf):

@@ -194,3 +194,53 @@ def test_select_matches_power_set_oracle_under_both_utilities():
             got = (result.pursued, result.winning_utility, result.all_max_extensions,
                    result.cf_count)
             assert got == expected
+
+
+def random_components(rng, n):
+    """A filtered goal graph of n goals split into one to four components,
+    whose goals interleave in name order.  Preferences come from two values,
+    so many goals tie, and each component's conflicts are sparse or dense."""
+    goals = [f"g{i:02d}" for i in range(n)]
+    rng.shuffle(goals)
+    k = rng.randint(1, 4)
+    parts = [goals[i::k] for i in range(k)]
+    pref = dict.fromkeys(goals, Fraction(1, 2))
+    for g in rng.sample(goals, rng.randint(0, n)):
+        pref[g] = Fraction(1, 4)
+    attacks = set()
+    for part in parts:
+        p = rng.choice([0.1, 0.2, 0.35, 0.6])
+        for i, g in enumerate(part):
+            for h in part[i + 1:]:
+                if rng.random() < p:
+                    attacks |= rng.choice([{(g, h)}, {(h, g)}, {(g, h), (h, g)}])
+    return labeled_goal_af(pref, attacks)
+
+
+def test_select_by_components_matches_power_set_oracle():
+    # Components multiply counts and add scores; zero-weight goals under
+    # sum_main make their maxima multiply too, and the product must come
+    # out in the order of sorted ids.
+    rng = random.Random(29)
+    for _ in range(100):
+        filtered = random_components(rng, rng.randint(1, 14))
+        goals = filtered.goals
+        main = frozenset(rng.sample(goals, rng.randint(0, len(goals))))
+        for result, expected in (
+            (select(filtered), oracles.select_brute(goals, filtered.attacks, filtered.pref)),
+            (
+                select(filtered, UtilityVariant.SUM_MAIN, main),
+                oracles.select_brute(goals, filtered.attacks, filtered.pref, main),
+            ),
+        ):
+            got = (result.pursued, result.winning_utility, result.all_max_extensions,
+                   result.cf_count)
+            assert got == expected
+
+
+def test_a_count_too_long_to_print_is_refused():
+    # n unconflicted goals have 2**n conflict-free sets; 2**14300 has 4,305
+    # digits, past the 4,300 the interpreter converts to text.
+    pref = dict.fromkeys((f"g{i:05d}" for i in range(14_300)), Fraction(1, 2))
+    with pytest.raises(InputError, match="more digits than can be printed"):
+        select(labeled_goal_af(pref, set()))
