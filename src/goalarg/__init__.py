@@ -16,8 +16,7 @@ from importlib import import_module
 
 # Each module with the public names it defines, one module per entry.
 _EXPORTS = {
-    "af_core": "AbstractAF Semantics complete_extensions conflict_free_sets defends"
-               " grounded_extension preferred_extensions stable_extensions",
+    "af_core": "AbstractAF Semantics",
     "belief_gen": "Belief BeliefKind comps eval_pref generate_beliefs",
     "errors": "GoalArgError InputError QueryDirectionError ScenarioError ValidationError",
     "explain": "Claim Explanation ExplanationKind ExplanationModel ExplanatoryAF"

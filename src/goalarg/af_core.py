@@ -1,20 +1,19 @@
-"""Abstract argumentation frameworks and their extension-based semantics.
+"""Abstract argumentation frameworks and the weighted conflict-free search.
 
-A framework is a directed attack graph over opaque node identifiers.  The
-semantics here (conflict-free, complete, grounded, preferred, stable)
-are the classical extension-based ones.  Goal selection uses the
-weighted conflict-free search; `explain` reads explanatory frameworks,
-under a `Semantics` member, in closed form, tested against the rest.
+A framework is a directed attack graph over opaque node identifiers.  Goal
+selection counts a framework's conflict-free sets and finds those of
+greatest total weight.  `Semantics` names the classical extension-based
+semantics under which `explain` reads explanatory frameworks in closed
+form; the generic semantics that check those readings are in
+`tests/oracles.py`.
 
-Everything is a pure function over immutable values.  Each framework
-indexes its attackers once, on first use, and every semantics reads that
-index instead of rescanning the attack set.  Conflict-free sets are
-counted, and the best found, over integer bitmasks with integer scores:
-the conflict graph splits into connected pieces whose counts multiply,
-a small or dense piece is walked set by set, and any other piece branches
-on its busiest node.  Unconflicted nodes cost nothing, but one large,
-sparse connected piece can still take exponential time.  Results come
-back in a fixed lexicographic order so golden tests are stable.
+Sets are integer bitmasks with integer scores.  The conflict graph splits
+into connected pieces whose counts multiply; a piece of at most
+`_WALK_SIZE` nodes is walked set by set, and any larger one branches on
+its nodes in conflict with all the others, or else on a node of highest
+degree.  Unconflicted nodes cost nothing, but one large, sparse connected
+piece can still take exponential time.  The maxima come back in a fixed
+lexicographic order so golden tests are stable.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import chain, compress, starmap
 from operator import eq
 
@@ -66,25 +64,13 @@ class AbstractAF:
             if attacker == target:
                 raise InputError(f"self-attack on {attacker!r} is not allowed")
 
-    @cached_property
-    def _attackers(self) -> dict[str, frozenset[str]]:
-        found: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for attacker, target in self.attacks:
-            found[target].add(attacker)
-        return {n: frozenset(a) for n, a in found.items()}
 
-    def attackers_of(self, node: str) -> frozenset[str]:
-        attackers = self._attackers.get(node)
-        if attackers is None:
-            raise InputError(f"unknown node {node!r}")
-        return attackers
-
-
-# A connected piece of at most this many nodes, or with at least this share
-# of its node pairs in conflict, is walked set by set; branching on one node
-# gains little there.  Any other piece is branched on.
+# A connected piece of at most this many nodes is walked set by set;
+# branching on one node gains little there.  Any larger piece is branched on.
 _WALK_SIZE = 6
-_WALK_DENSITY = 0.5
+
+# (number of sets, best score, the bitmasks of the sets scoring it)
+_Found = tuple[int, int, list[int]]
 
 
 def max_weight_conflict_free(
@@ -97,13 +83,14 @@ def max_weight_conflict_free(
     are integer bitmasks, the first node in sorted order the highest bit.
     `_solve` splits a mask into connected pieces: across pieces counts
     multiply, best scores add, and the maxima are the unions of one maximum
-    of each piece.  A piece is walked (`_walk`) when it is small or dense;
-    otherwise it branches on a node v of highest degree, the sets without v
-    and the sets with v, whose other members avoid v's neighbours.  Returns
-    (number of sets, best score, the sets scoring it); only those are built
-    as frozensets, in the lexicographic order of their sorted nodes, which
-    is the order a walk over the sorted nodes meets them, the empty set
-    first.
+    of each piece.  A piece of at most `_WALK_SIZE` nodes is walked
+    (`_walk`).  A larger one branches on the nodes in conflict with all its
+    others, each a set on its own, or when there is none, on a node v of
+    highest degree: the sets without v, and the sets with v, whose other
+    members avoid v's neighbours.  Returns (number of sets, best score, the
+    sets scoring it); only those are built as frozensets, in the
+    lexicographic order of their sorted nodes, which is the order a walk
+    over the sorted nodes meets them, the empty set first.
     """
     order = af.nodes
     n = len(order)
@@ -136,15 +123,14 @@ def max_weight_conflict_free(
     return count, best, maxima
 
 
-def _solve(
-    mask: int, step: dict[int, tuple[int, int]], memo: dict[int, tuple]
-) -> tuple[int, int, list[int]]:
+def _solve(mask: int, step: dict[int, tuple[int, int]], memo: dict[int, _Found]) -> _Found:
     """(count, best score, maxima) over the conflict-free subsets of `mask`.
 
-    A mask of at most `_WALK_SIZE` nodes is walked whole.  Each connected
-    piece of a larger one is solved once per selection (`memo`): branching
-    meets the same piece again from both sides.  Recursion depth is the
-    number of nested branchings.
+    A mask of at most `_WALK_SIZE` nodes is walked whole, and so is each
+    such connected piece of a larger one; a larger piece branches.  Each
+    piece is solved once per selection (`memo`): branching meets the same
+    piece again from both sides.  Recursion depth is the number of nested
+    branchings.
     """
     if mask.bit_count() <= _WALK_SIZE:
         return _walk(mask, step)
@@ -160,19 +146,24 @@ def _solve(
         mask ^= piece
         found = memo.get(piece)
         if found is None:
-            v = _branch_node(piece, step)
-            if v is None:
+            if piece.bit_count() <= _WALK_SIZE:
                 found = _walk(piece, step)
             else:
-                keep, weight = step[v]
-                c_out, s_out, m_out = _solve(piece ^ v, step, memo)
-                c_in, s_in, m_in = _solve(piece & keep, step, memo)
-                s_in += weight
-                if s_out > s_in:
-                    found = (c_out + c_in, s_out, m_out)
-                else:
-                    m_in = [m | v for m in m_in]
-                    found = (c_out + c_in, s_in, m_out + m_in if s_out == s_in else m_in)
+                # The sets with none of the split nodes, then those with each.
+                split = _split_nodes(piece, step)
+                found = _solve(piece ^ split, step, memo)
+                while split:
+                    v = split & -split
+                    split ^= v
+                    keep, weight = step[v]
+                    c_in, s_in, m_in = _solve(piece & keep, step, memo)
+                    c, s, m = found
+                    s_in += weight
+                    if s > s_in:
+                        found = (c + c_in, s, m)
+                    else:
+                        m_in = [x | v for x in m_in]
+                        found = (c + c_in, s_in, m + m_in if s == s_in else m_in)
             memo[piece] = found
         c, s, m = found
         count, best = count * c, best + s
@@ -180,25 +171,23 @@ def _solve(
     return count, best, maxima
 
 
-def _branch_node(piece: int, step: dict[int, tuple[int, int]]) -> int | None:
-    """The bit of a node of highest degree in a connected piece, or None
-    when the piece is small or dense enough to walk."""
-    size = piece.bit_count()
-    if size <= _WALK_SIZE:
-        return None
-    rest, degrees, top = piece, 0, 0
+def _split_nodes(piece: int, step: dict[int, tuple[int, int]]) -> int:
+    """The mask of a connected piece's nodes in conflict with all its others
+    or, when there is none, the bit of a node of highest degree: no two of
+    them join one set."""
+    rest, top, alone = piece, 0, 0
     while rest:
         b = rest & -rest
         rest ^= b
-        degree = (piece & ~step[b][0]).bit_count()
-        degrees += degree
-        if degree > top:
-            top, v = degree, b
-    # Each degree above counts the node itself.
-    return None if degrees - size >= _WALK_DENSITY * size * (size - 1) else v
+        near = piece & ~step[b][0]  # the node and its neighbours
+        if near == piece:
+            alone |= b
+        if near.bit_count() > top:
+            top, v = near.bit_count(), b
+    return alone or v
 
 
-def _walk(piece: int, step: dict[int, tuple[int, int]]) -> tuple[int, int, list[int]]:
+def _walk(piece: int, step: dict[int, tuple[int, int]]) -> _Found:
     """(count, best score, maxima) by visiting every conflict-free subset of
     `piece` once: a set grows only by bits above the last one added that
     clash with none of its members (`free`), so each set has one parent."""
@@ -219,54 +208,3 @@ def _walk(piece: int, step: dict[int, tuple[int, int]]) -> tuple[int, int, list[
             if free & keep:
                 stack.append((free & keep, child, child_score))
     return count, best, maxima
-
-
-def conflict_free_sets(af: AbstractAF) -> list[frozenset[str]]:
-    """All subsets with no internal attack in either direction, the empty
-    set included, in lexicographic order: the weighted search with every
-    weight 0, where every set ties for best."""
-    return max_weight_conflict_free(af, dict.fromkeys(af.nodes, 0))[2]
-
-
-def defends(af: AbstractAF, s: Iterable[str], a: str) -> bool:
-    """True iff every attacker of `a` is attacked by some member of `s`."""
-    members = frozenset(s)
-    unknown = members - af._attackers.keys()
-    if unknown:
-        raise InputError(f"unknown node {next(iter(unknown))!r}")
-    return all(not af._attackers[x].isdisjoint(members) for x in af.attackers_of(a))
-
-
-def characteristic(af: AbstractAF, s: Iterable[str]) -> frozenset[str]:
-    """F(S) = the set of nodes defended by S."""
-    members = frozenset(s)
-    return frozenset(a for a in af.nodes if defends(af, members, a))
-
-
-def grounded_extension(af: AbstractAF) -> frozenset[str]:
-    """Least fixpoint of the defense function (unique, possibly empty)."""
-    current: frozenset[str] = frozenset()
-    while True:
-        nxt = characteristic(af, current)
-        if nxt == current:
-            return current
-        current = nxt
-
-
-def complete_extensions(af: AbstractAF) -> list[frozenset[str]]:
-    """Conflict-free fixpoints of the defense function."""
-    return [s for s in conflict_free_sets(af) if s == characteristic(af, s)]
-
-
-def preferred_extensions(af: AbstractAF) -> list[frozenset[str]]:
-    """Maximal (by set inclusion) complete extensions."""
-    complete = complete_extensions(af)
-    return [s for s in complete if not any(s < other for other in complete)]
-
-
-def stable_extensions(af: AbstractAF) -> list[frozenset[str]]:
-    """Conflict-free sets attacking every outside node; may be empty."""
-    return [
-        s for s in conflict_free_sets(af)
-        if all(not af.attackers_of(n).isdisjoint(s) for n in af.nodes if n not in s)
-    ]

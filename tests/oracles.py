@@ -1,10 +1,16 @@
-"""Brute-force oracles, written straight from the definitions.
+"""Reference semantics and brute-force oracles for the tests.
 
-Everything here enumerates all subsets and applies the defining condition
-verbatim, independent of the library's pruned enumeration, so it can serve
-as ground truth for frameworks up to ~15 nodes.  `admissible_sets` is the
-one exception: the library's conflict-free sets filtered by its defense
-function, checked in `test_af_core` against `admissible_brute`.
+The reference semantics come first: the conflict-free, admissible,
+complete, grounded, preferred and stable extensions of an `AbstractAF`,
+over the library's pruned conflict-free search and an attacker index
+built once per call.  The library runs none of them; it reads its
+explanatory frameworks in closed form, and the tests check those
+readings against these.
+
+Everything after them is written straight from the definitions.  The
+`*_brute` functions enumerate all subsets and apply the defining
+condition verbatim, independent of any pruning, so they serve as ground
+truth, the reference semantics included, for frameworks up to ~15 nodes.
 """
 
 from __future__ import annotations
@@ -13,7 +19,89 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 
 from goalarg import SCHEMAS, Claim, InputError, RuleInstance
-from goalarg.af_core import characteristic, conflict_free_sets
+from goalarg.af_core import max_weight_conflict_free
+
+
+def conflict_free_sets(af):
+    """All subsets with no internal attack in either direction, the empty
+    set included, in lexicographic order: the weighted search with every
+    weight 0, where every set ties for best."""
+    return max_weight_conflict_free(af, dict.fromkeys(af.nodes, 0))[2]
+
+
+def _attackers(af):
+    """Each node's attackers, indexed afresh for one evaluation."""
+    found = {n: set() for n in af.nodes}
+    for attacker, target in af.attacks:
+        found[target].add(attacker)
+    return found
+
+
+def _known(attackers, s):
+    members = frozenset(s)
+    unknown = members - attackers.keys()
+    if unknown:
+        raise InputError(f"unknown node {min(unknown)!r}")
+    return members
+
+
+def _defended(attackers, members):
+    """F(S) over an attacker index, for a set of known nodes."""
+    return frozenset(
+        a for a, attacking in attackers.items()
+        if all(not attackers[x].isdisjoint(members) for x in attacking)
+    )
+
+
+def defends(af, s, a):
+    """True iff every attacker of `a` is attacked by some member of `s`."""
+    attackers = _attackers(af)
+    members = _known(attackers, s)
+    if a not in attackers:
+        raise InputError(f"unknown node {a!r}")
+    return all(not attackers[x].isdisjoint(members) for x in attackers[a])
+
+
+def characteristic(af, s):
+    """F(S) = the set of nodes defended by S."""
+    attackers = _attackers(af)
+    return _defended(attackers, _known(attackers, s))
+
+
+def grounded_extension(af):
+    """Least fixpoint of the defense function (unique, possibly empty)."""
+    attackers = _attackers(af)
+    current = frozenset()
+    while (defended := _defended(attackers, current)) != current:
+        current = defended
+    return current
+
+
+def admissible_sets(af):
+    """Conflict-free sets that defend all of their members."""
+    attackers = _attackers(af)
+    return [s for s in conflict_free_sets(af) if s <= _defended(attackers, s)]
+
+
+def complete_extensions(af):
+    """Conflict-free fixpoints of the defense function."""
+    attackers = _attackers(af)
+    return [s for s in conflict_free_sets(af) if s == _defended(attackers, s)]
+
+
+def preferred_extensions(af):
+    """Maximal (by set inclusion) complete extensions."""
+    complete = complete_extensions(af)
+    return [s for s in complete if not any(s < other for other in complete)]
+
+
+def stable_extensions(af):
+    """Conflict-free sets attacking every outside node; may be empty."""
+    attackers = _attackers(af)
+    return [
+        s for s in conflict_free_sets(af)
+        if all(not attackers[n].isdisjoint(s) for n in af.nodes if n not in s)
+    ]
 
 
 def powerset(nodes):
@@ -29,7 +117,7 @@ def is_conflict_free(s, attacks):
     return not any((a, b) in attacks for a in s for b in s)
 
 
-def defends(nodes, attacks, s, a):
+def defends_brute(nodes, attacks, s, a):
     attackers = {x for (x, t) in attacks if t == a}
     return all(any((y, x) in attacks for y in s) for x in attackers)
 
@@ -41,19 +129,14 @@ def conflict_free_brute(nodes, attacks):
 def admissible_brute(nodes, attacks):
     return {
         s for s in conflict_free_brute(nodes, attacks)
-        if all(defends(nodes, attacks, s, a) for a in s)
+        if all(defends_brute(nodes, attacks, s, a) for a in s)
     }
-
-
-def admissible_sets(af):
-    """Conflict-free sets that defend all of their members."""
-    return [s for s in conflict_free_sets(af) if s <= characteristic(af, s)]
 
 
 def complete_brute(nodes, attacks):
     return {
         s for s in conflict_free_brute(nodes, attacks)
-        if s == frozenset(a for a in nodes if defends(nodes, attacks, s, a))
+        if s == frozenset(a for a in nodes if defends_brute(nodes, attacks, s, a))
     }
 
 
@@ -82,11 +165,11 @@ def all_semantics_brute(nodes, attacks):
     """Every semantics for one framework, sharing the subset enumeration."""
     conflict_free = conflict_free_brute(nodes, attacks)
     admissible = {
-        s for s in conflict_free if all(defends(nodes, attacks, s, a) for a in s)
+        s for s in conflict_free if all(defends_brute(nodes, attacks, s, a) for a in s)
     }
     complete = {
         s for s in conflict_free
-        if s == frozenset(a for a in nodes if defends(nodes, attacks, s, a))
+        if s == frozenset(a for a in nodes if defends_brute(nodes, attacks, s, a))
     }
     least = [s for s in complete if all(s <= other for other in complete)]
     assert len(least) == 1

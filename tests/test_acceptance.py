@@ -25,22 +25,24 @@ from goalarg import (
     Semantics,
     apply_successful_attacks,
     build_explanation_model,
-    complete_extensions,
     derive_goal_af,
     extensions_of,
-    grounded_extension,
     kinds_from_letters,
     load_scenario,
-    preferred_extensions,
     render_partial_explanation,
     report_to_dict,
     run_pipeline,
     select,
-    stable_extensions,
     why,
     why_not,
 )
 from goalarg.cli import main
+from oracles import (
+    complete_extensions,
+    grounded_extension,
+    preferred_extensions,
+    stable_extensions,
+)
 
 
 @pytest.fixture(scope="module")

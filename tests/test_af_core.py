@@ -1,21 +1,22 @@
 from __future__ import annotations
 
 import gc
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from goalarg import (
-    AbstractAF,
-    InputError,
+from goalarg import AbstractAF, InputError, run_pipeline
+from goalarg.af_core import max_weight_conflict_free
+from oracles import (
+    characteristic,
     complete_extensions,
     conflict_free_sets,
     defends,
     grounded_extension,
     preferred_extensions,
-    run_pipeline,
     stable_extensions,
 )
 
@@ -135,8 +136,10 @@ def test_semantics_match_oracle(af):
     assert set(stable_extensions(af)) == oracles.stable_brute(nodes, attacks)
     # The conflict-free sets include the empty one.
     for s in oracles.conflict_free_brute(nodes, attacks):
+        defended = {a for a in nodes if oracles.defends_brute(nodes, attacks, s, a)}
+        assert characteristic(af, s) == defended
         for a in nodes:
-            assert defends(af, s, a) == oracles.defends(nodes, attacks, s, a)
+            assert defends(af, s, a) == (a in defended)
 
 
 @settings(max_examples=200)
@@ -180,6 +183,17 @@ def test_results_in_lexicographic_order():
     af = AbstractAF.of(["b", "a", "c"])
     listed = [tuple(sorted(s)) for s in conflict_free_sets(af)]
     assert listed == sorted(listed)
+
+
+def test_a_clique_past_the_recursion_limit_is_counted():
+    # Every node of a clique is in conflict with all the others, so the
+    # search branches on all of them at one level, not one per nesting.
+    n = sys.getrecursionlimit() + 10
+    nodes = [f"n{i:04d}" for i in range(n)]
+    af = AbstractAF.of(nodes, [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]])
+    count, best, maxima = max_weight_conflict_free(af, dict.fromkeys(nodes, 1))
+    assert (count, best) == (n + 1, 1)
+    assert maxima == [frozenset({node}) for node in nodes]
 
 
 def test_a_pipeline_run_leaves_no_cyclic_garbage(cleaner_scenario):

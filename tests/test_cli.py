@@ -514,7 +514,7 @@ def clique_doc(n):
 
 
 def test_every_semantics_answers_a_large_clique_quickly(tmp_path):
-    # Generic evaluation under complete or preferred enumerates every
+    # A generic evaluation under complete or preferred would enumerate every
     # conflict-free set of each per-goal framework: 2^24 for g01 here.
     path = write_scenario(tmp_path, clique_doc(24))
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
@@ -556,6 +556,20 @@ def test_select_counts_unconflicted_goals_in_closed_form(tmp_path, n):
     assert done.returncode == 0, done.stderr
     assert f"conflict-free sets: {2**n}\n" in done.stdout
     assert "utility: " + str(n // 2) + "\n" in done.stdout
+
+
+def test_select_branches_on_a_dense_component(tmp_path):
+    # The complete bipartite graph K(30,30) holds over half of its goal
+    # pairs in conflict, yet 2**30 + 2**30 - 1 conflict-free sets: each side
+    # and its subsets.  Branching on a goal leaves the other side free.
+    doc = chain_doc(60, False)
+    left, right = doc["goals"][:30], doc["goals"][30:]
+    doc["goal_attacks"] = [{"from": a["id"], "to": b["id"], "kinds": ["r"]}
+                           for a in left for b in right]
+    done = run_cli_subprocess("select", write_scenario(tmp_path, doc), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert f"conflict-free sets: {2**30 + 2**30 - 1}\n" in done.stdout
+    assert "utility: 15\n" in done.stdout
 
 
 def test_select_on_a_long_conflict_path_ends_in_an_exit_code(tmp_path):

@@ -22,26 +22,32 @@ from goalarg import (
     build_explanation_model,
     build_xaf,
     complete_explanation,
-    complete_extensions,
     construct_arguments,
     derive_goal_af,
     extensions_of,
     generate_beliefs,
-    grounded_extension,
     kinds_from_letters,
     parse_scenario,
-    preferred_extensions,
     render_argument,
     require_valid,
     run_pipeline,
     select,
-    stable_extensions,
     trigger_rules,
     why,
     why_not,
 )
 from goalarg.explain import SCHEMAS
-from oracles import defeats, derives, negation, rebuts, trigger_brute
+from oracles import (
+    complete_extensions,
+    defeats,
+    derives,
+    grounded_extension,
+    negation,
+    preferred_extensions,
+    rebuts,
+    stable_extensions,
+    trigger_brute,
+)
 
 
 @pytest.fixture(scope="module")
@@ -457,7 +463,7 @@ def test_pipeline_leaves_defeats_underived():
             assert "defeats" in vars(xaf)
 
 
-AF_CORE_SEMANTICS = {
+REFERENCE_SEMANTICS = {
     Semantics.GROUNDED: lambda af: [grounded_extension(af)],
     Semantics.COMPLETE: complete_extensions,
     Semantics.PREFERRED: preferred_extensions,
@@ -467,8 +473,8 @@ AF_CORE_SEMANTICS = {
 
 def test_pipeline_extensions_match_af_core_under_every_semantics():
     # Every pipeline framework holds one decisive argument, so extensions_of
-    # reads its extension off in closed form; af_core's generic evaluation
-    # of the same framework is the reference.
+    # reads its extension off in closed form; the generic evaluation of the
+    # same framework in oracles is the reference.
     rng = random.Random(37)
     raws = [random_goal_af(rng, max_goals=8) for _ in range(40)]
     raws += [derive_goal_af(require_valid(random_general_af(rng))) for _ in range(40)]
@@ -478,7 +484,7 @@ def test_pipeline_extensions_match_af_core_under_every_semantics():
         for xaf in model.xafs.values():
             assert sum(a.decisive for a in xaf.arguments) == 1
             af = AbstractAF.of((a.id for a in xaf.arguments), xaf.defeats)
-            for semantics, evaluate in AF_CORE_SEMANTICS.items():
+            for semantics, evaluate in REFERENCE_SEMANTICS.items():
                 got = extensions_of(xaf, semantics)
                 assert [frozenset(a.id for a in ext) for ext in got] == evaluate(af)
                 for ext in got:
@@ -489,9 +495,9 @@ def test_pooled_frameworks_match_af_core_under_every_semantics():
     # One goal's arguments pooled from two models whose selections differ
     # (the second re-indexed), then random subsets: decisive arguments fall
     # on one side, on both sides or on neither, so extensions_of takes its
-    # direct reading as well as af_core's evaluation.  af_core orders
-    # extensions by id and extensions_of by argument index, so the answers
-    # are compared as sets.
+    # direct reading as well as the reference evaluation.  The reference
+    # orders extensions by id and extensions_of by argument index, so the
+    # answers are compared as sets.
     rng = random.Random(41)
     sides_seen = set()
     for _ in range(30):
@@ -509,7 +515,7 @@ def test_pooled_frameworks_match_af_core_under_every_semantics():
                 xaf = build_xaf(goal, rng.sample(pool, rng.randint(0, len(pool))))
                 sides_seen.add(len({a.claim.pursued for a in xaf.arguments if a.decisive}))
                 af = AbstractAF.of((a.id for a in xaf.arguments), xaf.defeats)
-                for semantics, evaluate in AF_CORE_SEMANTICS.items():
+                for semantics, evaluate in REFERENCE_SEMANTICS.items():
                     got = extensions_of(xaf, semantics)
                     expected = evaluate(af)
                     assert len(got) == len(expected)
@@ -535,7 +541,7 @@ def contested_xaf(n):
 
 def test_extensions_of_never_builds_an_abstract_framework(monkeypatch):
     # Every extensions_of call runs with AbstractAF.of raising, while the
-    # pooled test's af_core reference still builds its frameworks.
+    # pooled test's reference evaluation still builds its frameworks.
     evaluate = extensions_of
 
     def forbidden(*args):

@@ -18,6 +18,7 @@ from importlib import import_module
 import pytest
 
 import goalarg
+import oracles
 from conftest import CLEANER_WORLD, REPO_ROOT
 
 EXPORTS = [
@@ -27,18 +28,17 @@ EXPORTS = [
     "InstrumentalArgDecl", "QueryDirectionError", "QueryKind", "RuleInstance", "RuleSchema",
     "RunConfig", "RunReport", "SCHEMAS", "Scenario", "ScenarioError", "SelectionResult",
     "Semantics", "Stage", "UtilityVariant", "ValidationError", "ValidationIssue",
-    "apply_successful_attacks", "build_explanation_model", "build_xaf", "complete_explanation",
-    "complete_extensions", "comps", "conflict_free_sets", "construct_arguments", "defends",
-    "derive_goal_af", "eval_pref", "export_dot", "extensions_of", "format_kinds",
-    "format_rational", "generate_beliefs", "grounded_extension", "kinds_from_letters",
-    "load_scenario", "parse_scenario", "preferred_extensions", "render_argument",
+    "apply_successful_attacks", "build_explanation_model", "build_xaf",
+    "complete_explanation", "comps", "construct_arguments", "derive_goal_af", "eval_pref",
+    "export_dot", "extensions_of", "format_kinds", "format_rational", "generate_beliefs",
+    "kinds_from_letters", "load_scenario", "parse_scenario", "render_argument",
     "render_partial_explanation", "report_to_dict", "require_valid", "run_pipeline", "select",
-    "stable_extensions", "trigger_rules", "validate", "why", "why_not",
+    "trigger_rules", "validate", "why", "why_not",
 ]
 
 
 def test_the_package_exports_the_same_names():
-    assert len(EXPORTS) == 64
+    assert len(EXPORTS) == 58
     assert sorted(goalarg.__all__) == EXPORTS
 
 
@@ -50,6 +50,21 @@ def test_each_name_is_the_object_its_module_defines(name):
     assert module.startswith("goalarg.")
     assert getattr(import_module(module), name) is value
     assert vars(goalarg)[name] is value  # kept after its first use
+
+
+# The generic semantics, which no library module runs, live with the oracles.
+REFERENCE_ONLY = [
+    "complete_extensions", "conflict_free_sets", "defends", "grounded_extension",
+    "preferred_extensions", "stable_extensions",
+]
+
+
+@pytest.mark.parametrize("name", REFERENCE_ONLY)
+def test_a_reference_semantics_is_not_library_api(name):
+    assert name not in goalarg.__all__
+    assert not hasattr(goalarg, name)
+    assert not hasattr(import_module("goalarg.af_core"), name)
+    assert callable(getattr(oracles, name))
 
 
 def test_an_unknown_name_raises_attribute_error():
