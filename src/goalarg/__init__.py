@@ -23,7 +23,7 @@ _EXPORTS = {
                " ExplanatoryArgument QueryKind RuleInstance RuleSchema SCHEMAS"
                " build_explanation_model build_xaf complete_explanation construct_arguments"
                " extensions_of trigger_rules why why_not",
-    "goal_graph": "GoalAF Stage apply_successful_attacks derive_goal_af",
+    "goal_graph": "GoalAF apply_successful_attacks derive_goal_af",
     "instrumental": "GeneralAF GoalDecl IncompatibilityKind InstrumentalArgDecl ValidationIssue"
                     " format_kinds format_rational kinds_from_letters require_valid validate",
     "pipeline": "RunReport report_to_dict run_pipeline",

@@ -15,9 +15,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .af_core import AbstractAF
 from .errors import InputError
-from .goal_graph import GoalAF, Stage
+from .goal_graph import GoalAF
 from .instrumental import IncompatibilityKind, format_kinds
 from .selection import SelectionResult
 
@@ -81,20 +80,13 @@ class Belief(NamedTuple):
 
 
 def comps(gaf_sc: GoalAF) -> frozenset[str]:
-    """Goals with no incident attack in either direction.  An attack that
-    names an undeclared goal raises the `InputError` `select` raises."""
-    if gaf_sc.stage is not Stage.FILTERED:
-        raise InputError("belief generation expects a filtered goal framework")
+    """Goals with no incident attack in either direction."""
     touched = {g for pair in gaf_sc.attacks for g in pair}
-    if not touched <= gaf_sc.pref.keys():
-        AbstractAF.of(gaf_sc.goals, gaf_sc.attacks)  # names the goal, as in `select`
     return frozenset(g for g in gaf_sc.goals if g not in touched)
 
 
 def eval_pref(gaf_sc: GoalAF) -> frozenset[tuple[str, str]]:
     """Attack pairs whose reverse is absent, i.e. decided by preference."""
-    if gaf_sc.stage is not Stage.FILTERED:
-        raise InputError("belief generation expects a filtered goal framework")
     return frozenset(
         (g, h) for (g, h) in gaf_sc.attacks if (h, g) not in gaf_sc.attacks
     )
@@ -109,24 +101,36 @@ def generate_beliefs(gaf_sc: GoalAF, selection: SelectionResult) -> tuple[Belief
     preference-decided pair, and eq_pref for the symmetric remainder.
     Identifiers b1, b2, ... follow this order with goal ids sorted inside
     each group.
+
+    The preference beliefs hold only of a preference-filtered graph, so
+    any other is refused, naming its least attack that is kept one way
+    from a goal not strictly preferred, or both ways between goals of
+    unequal preference.
     """
     if not selection.pursued <= set(gaf_sc.goals):
         raise InputError("selection result does not belong to this goal framework")
 
-    attacks = gaf_sc.attacks
+    attacks = sorted(gaf_sc.attacks.items())
     weight = gaf_sc.weights
+    decided, equal = [], []
+    for (g, h), _ in attacks:
+        mutual = (h, g) in gaf_sc.attacks
+        if weight[g] == weight[h] and mutual:
+            equal.append((BeliefKind.EQ_PREF, (g, h), None, "equal-preference"))
+        elif weight[g] > weight[h] and not mutual:
+            decided += ((BeliefKind.PREF, (g, h), None, "preference-order"),
+                        (BeliefKind.NOT_PREF, (h, g), None, "preference-order"))
+        else:
+            how = ("both ways between goals of unequal preference" if mutual
+                   else "one way from a goal not strictly preferred")
+            raise InputError(f"attack ({g}, {h}) is kept {how}: belief generation "
+                             "needs a preference-filtered goal graph")
     # (kind, goals, labels, provenance), numbered in one pass below.
     shapes = [(BeliefKind.NOT_INCOMP, (g,), None, "no-conflicts") for g in sorted(comps(gaf_sc))]
-    shapes += [(BeliefKind.INCOMPAT, pair, kinds, "conflict-kinds")
-               for pair, kinds in sorted(attacks.items())]
+    shapes += [(BeliefKind.INCOMPAT, pair, kinds, "conflict-kinds") for pair, kinds in attacks]
     shapes += [(BeliefKind.MAX_UTIL, (g,), None, "max-utility") for g in sorted(selection.pursued)]
     shapes += [(BeliefKind.NOT_MAX_UTIL, (g,), None, "non-max-utility")
                for g in sorted(set(gaf_sc.goals) - selection.pursued)]
-    for (g, h) in sorted(eval_pref(gaf_sc)):
-        if weight[g] > weight[h]:
-            shapes += ((BeliefKind.PREF, (g, h), None, "preference-order"),
-                       (BeliefKind.NOT_PREF, (h, g), None, "preference-order"))
-    shapes += [(BeliefKind.EQ_PREF, (g, h), None, "equal-preference")
-               for (g, h) in sorted(attacks) if (h, g) in attacks]
     return tuple([Belief(kind, goals, labels, index, provenance)
-                  for index, (kind, goals, labels, provenance) in enumerate(shapes, 1)])
+                  for index, (kind, goals, labels, provenance)
+                  in enumerate(shapes + decided + equal, 1)])

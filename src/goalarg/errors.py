@@ -8,7 +8,7 @@ class GoalArgError(Exception):
 
 
 class InputError(GoalArgError):
-    """A caller-supplied value is invalid (unknown id, wrong stage, ...)."""
+    """A caller-supplied value is invalid (unknown id, unfiltered goal graph, ...)."""
 
 
 class QueryDirectionError(InputError):

@@ -129,7 +129,9 @@ def trigger_rules(beliefs: Iterable[Belief]) -> tuple[RuleInstance, ...]:
     by_kind: dict[BeliefKind, dict[tuple[str, ...], Belief]] = {kind: {} for kind in BeliefKind}
     for b in beliefs:
         by_kind[b.kind][b.goals] = b
-    ordered = {kind: sorted(table.items()) for kind, table in by_kind.items()}
+    # Only the tables a schema opens with are walked, so only they are sorted.
+    opening = {schema.body[0].kind for schema in SCHEMAS}
+    ordered = {kind: sorted(by_kind[kind].items()) for kind in opening}
 
     claims: dict[tuple[str, bool], Claim] = {}
     instances: list[RuleInstance] = []
@@ -221,9 +223,25 @@ def construct_arguments(
 
 @dataclass(frozen=True)
 class ExplanatoryAF:
-    """One goal's framework: the arguments claiming it, defeats derived on first read."""
+    """One goal's framework: the arguments claiming it, split into sides
+    and defeats derived on first read."""
 
     arguments: tuple[ExplanatoryArgument, ...]
+
+    @cached_property
+    def _sides(self) -> tuple[tuple[ExplanatoryArgument, ...], ...]:
+        """The pro and the con arguments, each ordered by index.  A pro and a
+        con argument with one id would defeat themselves, so that is refused
+        on every read, naming the least shared id as a string."""
+        pro: list[ExplanatoryArgument] = []
+        con: list[ExplanatoryArgument] = []
+        for a in sorted(self.arguments, key=_INDEX):
+            (pro if a.claim.pursued else con).append(a)
+        shared = set(map(_INDEX, pro)).intersection(map(_INDEX, con))
+        if shared:
+            least = min(a.id for a in con if a.index in shared)
+            raise InputError(f"self-attack on {least!r} is not allowed")
+        return tuple(pro), tuple(con)
 
     @cached_property
     def defeats(self) -> frozenset[tuple[str, str]]:
@@ -231,27 +249,12 @@ class ExplanatoryAF:
         rebuttal is a defeat, except that a non-decisive argument does not
         defeat a decisive one.  So a max-utility argument defeats its
         opponents one way, and any other rebuttal stays mutual."""
-        pro, con = _sides(self.arguments)
+        pro, con = self._sides
         rebuttals = [(a, b) for a in pro for b in con] + [(b, a) for a in pro for b in con]
         return frozenset((a.id, b.id) for a, b in rebuttals if a.decisive or not b.decisive)
 
 
 _INDEX = attrgetter("index")
-
-
-def _sides(arguments: Iterable[ExplanatoryArgument]) -> tuple[tuple[ExplanatoryArgument, ...], ...]:
-    """The pro and the con arguments, each ordered by index.  A pro and a
-    con argument with one id would defeat themselves, so that is refused,
-    naming the least shared id as a string."""
-    pro: list[ExplanatoryArgument] = []
-    con: list[ExplanatoryArgument] = []
-    for a in sorted(arguments, key=_INDEX):
-        (pro if a.claim.pursued else con).append(a)
-    shared = set(map(_INDEX, pro)).intersection(map(_INDEX, con))
-    if shared:
-        least = min(a.id for a in con if a.index in shared)
-        raise InputError(f"self-attack on {least!r} is not allowed")
-    return tuple(pro), tuple(con)
 
 
 def build_xaf(goal: str, arguments: Iterable[ExplanatoryArgument]) -> ExplanatoryAF:
@@ -273,7 +276,7 @@ def extensions_of(
     whole side defeats all of the other: grounded yields the empty set,
     complete the empty set and both sides, preferred and stable both sides.
     """
-    pro, con = _sides(xaf.arguments)
+    pro, con = xaf._sides
     decisive = {a.claim.pursued for a in xaf.arguments if a.decisive}
     if len(decisive) == 1:
         return (pro if True in decisive else con,)

@@ -5,7 +5,9 @@ with *every* plan for the second; the conflict kinds of all those plan
 pairs are unioned into the goal pair's label.  Preference then breaks the
 symmetry: an attack survives filtering only if its source is at least as
 preferred as its target, so strictly dominated directions disappear while
-equal-preference pairs keep both.
+equal-preference pairs keep both.  Filtering a filtered graph changes
+nothing, and selection reads only which pairs conflict, so it answers the
+same on a raw graph as on its filtered one.
 """
 
 from __future__ import annotations
@@ -13,20 +15,12 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 
 from .af_core import AbstractAF
-from .errors import InputError
 from .instrumental import GeneralAF, IncompatibilityKind
-
-
-class Stage(Enum):
-
-    RAW = "raw"
-    FILTERED = "successful-filtered"
 
 
 @dataclass(frozen=True)
@@ -35,16 +29,17 @@ class GoalAF:
 
     `pref` maps each goal to its preference, and `goals` lists its keys in
     sorted order; `attacks` maps each (attacker, target) pair to its
-    conflict-kind labels.  `stage` records whether preference filtering
-    has been applied; the raw stage is symmetric by construction, the
-    filtered stage keeps at most one direction per strictly ordered pair.
+    conflict-kind labels.  An attack on an undeclared goal or on itself is
+    refused when the graph is built, naming the least such attack.
     `weights` holds each preference times `scale`, the LCM of their
     denominators: integers that compare and add as the preferences do.
     """
 
     pref: Mapping[str, Fraction]
     attacks: Mapping[tuple[str, str], frozenset[IncompatibilityKind]]
-    stage: Stage
+
+    def __post_init__(self) -> None:
+        AbstractAF(self.goals, self.attacks.keys()).check()
 
     @cached_property
     def goals(self) -> tuple[str, ...]:
@@ -60,7 +55,7 @@ class GoalAF:
 
 
 def derive_goal_af(gaf: GeneralAF) -> GoalAF:
-    """Lift the instrumental framework to the goal level (raw stage).
+    """Lift the instrumental framework to the goal level, unfiltered.
 
     A goal with no plans participates in no attacks: the all-plan-pairs
     condition is only applied between goals that both have at least one
@@ -90,7 +85,7 @@ def derive_goal_af(gaf: GeneralAF) -> GoalAF:
             met.discard(None)
             attacks[(g, h)] = attacks[(h, g)] = frozenset().union(*met)
 
-    return GoalAF({g.id: g.preference for g in gaf.goals}, attacks, Stage.RAW)
+    return GoalAF({g.id: g.preference for g in gaf.goals}, attacks)
 
 
 def apply_successful_attacks(goal_af: GoalAF) -> GoalAF:
@@ -98,16 +93,8 @@ def apply_successful_attacks(goal_af: GoalAF) -> GoalAF:
 
     Strictly ordered pairs end up with a single direction (from the
     preferred goal); equal-preference pairs keep both directions.
-    Preferences are compared exactly, as integer weights.  An attack that
-    names an undeclared goal raises the `InputError` `select` raises.
+    Preferences are compared exactly, as integer weights.
     """
-    if goal_af.stage is not Stage.RAW:
-        raise InputError("successful-attack filtering expects a raw-stage goal framework")
     weight = goal_af.weights
-    try:
-        kept = {(g, h): kinds for (g, h), kinds in goal_af.attacks.items()
-                if weight[g] >= weight[h]}
-    except KeyError:
-        AbstractAF.of(goal_af.goals, goal_af.attacks)  # names the goal, as in `select`
-        raise
-    return GoalAF(goal_af.pref, kept, Stage.FILTERED)
+    return GoalAF(goal_af.pref, {(g, h): kinds for (g, h), kinds in goal_af.attacks.items()
+                                 if weight[g] >= weight[h]})

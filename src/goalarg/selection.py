@@ -1,20 +1,18 @@
 """Selecting the pursued goals: maximum-utility conflict-free sets.
 
-Every conflict-free subset of the filtered goal graph (the empty set
-included) is scored by a utility function over preferences; the pursued
-set is the best one.  All maxima are reported, with the lexicographically
-least (by sorted goal ids) as the deterministic primary choice, and ties
-left visible so explanations can mention them.
+Every conflict-free subset of the goal graph (the empty set included) is
+scored by a utility function over preferences; the pursued set is the
+best one.  A set's conflict-freeness reads only which pairs conflict, so
+a raw and a filtered graph give the same answer.  All maxima are
+reported, with the lexicographically least (by sorted goal ids) as the
+deterministic primary choice, and ties left visible so explanations can
+mention them.
 
-Utilities are exact rationals end to end, so the argmax is never subject
-to floating-point noise.  `af_core` counts the sets and finds the maxima
-by connected components of the conflict graph, without listing every
-set, using integer scores: the goal graph's weights (each preference
-times the LCM of all denominators), with uncounted goals at 0, which
-order sets exactly as the rational sums do.  Only the maxima are built
-as sets.  A count too long to print (2**n for n unconflicted goals, past
-about 14,280 of them) is refused, as preferences that cannot be printed
-are.
+Utilities are exact rationals end to end: `af_core` scores sets by the
+goal graph's integer weights, with uncounted goals at 0, which order sets
+exactly as the rational sums do.  A count too long to print (2**n for n
+unconflicted goals, past about 14,280 of them) is refused, as preferences
+that cannot be printed are.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from fractions import Fraction
 
 from . import af_core
 from .errors import InputError
-from .goal_graph import GoalAF, Stage
+from .goal_graph import GoalAF
 from .instrumental import DIGITS_BOUND
 
 
@@ -51,8 +49,6 @@ def select(
     main_goals: frozenset[str] | None = None,
 ) -> SelectionResult:
     """Count the conflict-free goal sets and return the utility maxima."""
-    if gaf_sc.stage is not Stage.FILTERED:
-        raise InputError("selection expects a successful-attack-filtered goal framework")
     weights = gaf_sc.weights
     if utility is UtilityVariant.SUM_MAIN:
         if main_goals is None:
@@ -62,7 +58,7 @@ def select(
             raise InputError(f"main goals not declared: {', '.join(unknown)}")
         weights = {g: w if g in main_goals else 0 for g, w in weights.items()}
 
-    af = af_core.AbstractAF.of(gaf_sc.goals, gaf_sc.attacks)
+    af = af_core.AbstractAF(gaf_sc.goals, gaf_sc.attacks.keys())  # checked when built
     count, best, maxima = af_core.max_weight_conflict_free(af, weights)
     if count >= DIGITS_BOUND:  # reports print the count
         raise InputError("the number of conflict-free goal sets has more digits "

@@ -12,7 +12,6 @@ from goalarg import (
     GoalDecl,
     InstrumentalArgDecl,
     Scenario,
-    Stage,
     kinds_from_letters,
     load_scenario,
     run_pipeline,
@@ -80,7 +79,7 @@ def random_af(rng: random.Random, max_nodes: int = 12):
 
 
 def random_goal_af(rng: random.Random, max_goals: int = 15) -> GoalAF:
-    """A random raw-stage goal framework with symmetric labeled conflicts."""
+    """A random unfiltered goal framework with symmetric labeled conflicts."""
     n = rng.randint(1, max_goals)
     goals = tuple(f"g{i:02d}" for i in range(n))
     pref = {
@@ -96,13 +95,13 @@ def random_goal_af(rng: random.Random, max_goals: int = 15) -> GoalAF:
                     rng.sample(kinds_pool, rng.randint(1, 3))
                 )
                 attacks[(g, h)] = attacks[(h, g)] = labels
-    return GoalAF(pref, attacks, Stage.RAW)
+    return GoalAF(pref, attacks)
 
 
-def labeled_goal_af(pref, pairs, stage=Stage.FILTERED, labels=kinds_from_letters("t")):
+def labeled_goal_af(pref, pairs, labels=kinds_from_letters("t")):
     """A goal framework over the goals of `pref` whose attacks are `pairs`,
     each labeled `labels`."""
-    return GoalAF(pref, dict.fromkeys(pairs, labels), stage)
+    return GoalAF(pref, dict.fromkeys(pairs, labels))
 
 
 def random_general_af(rng: random.Random, max_goals: int = 7) -> GeneralAF:

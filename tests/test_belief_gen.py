@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from goalarg import (
     Belief,
     BeliefKind,
     InputError,
-    Stage,
     apply_successful_attacks,
     comps,
     derive_goal_af,
@@ -86,12 +86,67 @@ def test_eval_pref_symmetric_and_single():
     assert eval_pref(one) == {("a", "b")}
 
 
-def test_stage_is_checked():
-    raw = labeled_goal_af({"a": Fraction(1, 2)}, set(), stage=Stage.RAW)
-    with pytest.raises(InputError):
-        comps(raw)
-    with pytest.raises(InputError):
-        eval_pref(raw)
+def test_generate_beliefs_refuses_a_raw_graph_with_strict_preferences():
+    raw = derive_goal_af(cleaner_general_af())
+    with pytest.raises(InputError, match=re.escape(
+        "attack (g1, g4) is kept both ways between goals of unequal preference"
+    )):
+        generate_beliefs(raw, select(raw))
+
+
+@pytest.mark.parametrize("pref, pairs, message", [
+    ({"a": Fraction(1, 2), "b": Fraction(1, 4)}, {("a", "b"), ("b", "a")},
+     "attack (a, b) is kept both ways between goals of unequal preference"),
+    ({"a": Fraction(1, 2), "b": Fraction(1, 4)}, {("b", "a")},
+     "attack (b, a) is kept one way from a goal not strictly preferred"),
+    ({"a": Fraction(1, 2), "b": Fraction(1, 2)}, {("b", "a")},
+     "attack (b, a) is kept one way from a goal not strictly preferred"),
+    ({"a": Fraction(1, 2), "b": Fraction(1, 4), "c": Fraction(1, 8)},
+     {("a", "b"), ("c", "b"), ("a", "c"), ("c", "a")},
+     "attack (a, c) is kept both ways between goals of unequal preference"),
+], ids=["both-ways-unequal", "one-way-dominated", "one-way-equal", "least-of-two"])
+def test_an_unfiltered_graph_is_refused_naming_its_least_offending_attack(pref, pairs, message):
+    gaf = labeled_goal_af(pref, pairs)
+    with pytest.raises(InputError, match=f"^{re.escape(message)}: belief generation needs a "
+                                         "preference-filtered goal graph$"):
+        generate_beliefs(gaf, select(gaf))
+
+
+def test_preference_beliefs_agree_with_the_weights():
+    # Hand-built graphs whose conflicts are kept in any direction, or as
+    # filtering keeps them: belief generation refuses exactly the unfiltered
+    # ones, and each preference belief it makes is true.
+    rng = random.Random(31)
+    refused = accepted = 0
+    for _ in range(300):
+        goals = [f"g{i}" for i in range(rng.randint(2, 6))]
+        pref = {g: Fraction(rng.randint(1, 4), 4) for g in goals}
+        pairs = set()
+        for i, g in enumerate(goals):
+            for h in goals[i + 1:]:
+                pairs |= rng.choice([set(), {(g, h)}, {(h, g)}, {(g, h), (h, g)}])
+        kept = set(apply_successful_attacks(
+            labeled_goal_af(pref, pairs | {(h, g) for g, h in pairs})).attacks)
+        if rng.random() < 0.5:  # as often, the filtered graph of the same conflicts
+            pairs = kept
+        gaf = labeled_goal_af(pref, pairs)
+        is_filtered = pairs == kept
+        try:
+            beliefs = generate_beliefs(gaf, select(gaf))
+        except InputError:
+            assert not is_filtered
+            refused += 1
+            continue
+        assert is_filtered
+        accepted += 1
+        for b in beliefs:
+            if b.kind is BeliefKind.PREF:
+                assert pref[b.goals[0]] > pref[b.goals[1]]
+            elif b.kind is BeliefKind.NOT_PREF:
+                assert pref[b.goals[0]] < pref[b.goals[1]]
+            elif b.kind is BeliefKind.EQ_PREF:
+                assert pref[b.goals[0]] == pref[b.goals[1]]
+    assert refused > 50 and accepted > 50
 
 
 def test_worked_example_beliefs_exactly(cleaner_beliefs):

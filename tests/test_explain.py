@@ -579,6 +579,7 @@ def cleaner_g2_with_shared_id():
     xaf = build_explanation_model(filtered, select(filtered)).xafs["g2"]
     assert [(a.id, a.claim.pursued, a.decisive) for a in xaf.arguments] == [
         ("A3", True, False), ("A8", False, False), ("A13", False, True)]
+    extensions_of(xaf, Semantics.GROUNDED)  # splits xaf; its copy below splits afresh
     moved = tuple(a._replace(index=13) if a.claim.pursued else a for a in xaf.arguments)
     return replace(xaf, arguments=moved), "A13"
 

@@ -13,12 +13,9 @@ from goalarg import (
     GoalDecl,
     InputError,
     InstrumentalArgDecl,
-    Stage,
     apply_successful_attacks,
     derive_goal_af,
-    generate_beliefs,
     kinds_from_letters,
-    select,
 )
 from oracles import conflict_pairs, derive_brute
 
@@ -38,7 +35,6 @@ EXPECTED_LABELS = {
 
 def test_derivation_produces_exactly_the_expected_pairs():
     raw = derive_goal_af(cleaner_general_af())
-    assert raw.stage is Stage.RAW
     assert conflict_pairs(raw) == EXPECTED_CONFLICT_PAIRS
     # derivation is symmetric
     assert all((b, a) in raw.attacks for (a, b) in raw.attacks)
@@ -89,7 +85,6 @@ def test_derivation_matches_the_definition():
         raw = derive_goal_af(gaf)
         assert raw.attacks == derive_brute(gaf)
         assert raw.pref == {g.id: g.preference for g in gaf.goals}
-        assert raw.stage is Stage.RAW
         planned = len({a.claim for a in gaf.args} & raw.pref.keys())
         lifted += len(raw.attacks)
         unlifted += planned * (planned - 1) - len(raw.attacks)
@@ -98,7 +93,6 @@ def test_derivation_matches_the_definition():
 
 def test_successful_attacks_match_worked_example():
     filtered = apply_successful_attacks(derive_goal_af(cleaner_general_af()))
-    assert filtered.stage is Stage.FILTERED
     # labels carried over unchanged
     assert filtered.attacks == {
         ("g3", "g2"): kinds_from_letters("s"),
@@ -128,10 +122,11 @@ def test_fixture_preference_orderings_hold():
     assert pref["g3"] > pref["g4"]
 
 
-def test_filtering_requires_raw_stage():
-    filtered = apply_successful_attacks(derive_goal_af(cleaner_general_af()))
-    with pytest.raises(InputError):
-        apply_successful_attacks(filtered)
+def test_filtering_is_idempotent():
+    rng = random.Random(29)
+    for _ in range(100):
+        filtered = apply_successful_attacks(random_goal_af(rng, max_goals=10))
+        assert apply_successful_attacks(filtered) == filtered
 
 
 @pytest.mark.parametrize("pairs, message", [
@@ -141,16 +136,17 @@ def test_filtering_requires_raw_stage():
     ([("b", "a"), ("a", "b"), ("y", "x")], "attack (y, x): unknown node 'y'"),
 ], ids=["target", "attacker", "both-directions", "after-known-pairs"])
 def test_an_attack_on_an_undeclared_goal_is_refused_as_select_refuses_it(pairs, message):
+    # The graph refuses it when built, so filtering, selection and belief
+    # generation never meet it.
     pref = {"a": Fraction(1, 2), "b": Fraction(1, 2)}
     attacks = dict.fromkeys(pairs, kinds_from_letters("t"))
-    filtered = GoalAF(pref, attacks, Stage.FILTERED)
-    selection = select(GoalAF(pref, {}, Stage.FILTERED))
-    calls = (lambda: apply_successful_attacks(GoalAF(pref, attacks, Stage.RAW)),
-             lambda: select(filtered),
-             lambda: generate_beliefs(filtered, selection))
-    for call in calls:
-        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-            call()
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        GoalAF(pref, attacks)
+
+
+def test_a_self_attack_is_refused_when_the_graph_is_built():
+    with pytest.raises(InputError, match="^self-attack on 'a' is not allowed$"):
+        GoalAF({"a": Fraction(1, 2)}, {("a", "a"): kinds_from_letters("t")})
 
 
 def test_filtering_is_monotone_and_preserves_conflict_pairs():
@@ -166,7 +162,7 @@ def test_filtering_invariant_under_monotone_rescaling():
     rng = random.Random(11)
     for _ in range(50):
         raw = random_goal_af(rng, max_goals=10)
-        halved = type(raw)({g: p / 2 for g, p in raw.pref.items()}, raw.attacks, raw.stage)
+        halved = GoalAF({g: p / 2 for g, p in raw.pref.items()}, raw.attacks)
         assert (
             apply_successful_attacks(raw).attacks
             == apply_successful_attacks(halved).attacks

@@ -27,7 +27,7 @@ EXPORTS = [
     "GeneralAF", "GoalAF", "GoalArgError", "GoalDecl", "IncompatibilityKind", "InputError",
     "InstrumentalArgDecl", "QueryDirectionError", "QueryKind", "RuleInstance", "RuleSchema",
     "RunConfig", "RunReport", "SCHEMAS", "Scenario", "ScenarioError", "SelectionResult",
-    "Semantics", "Stage", "UtilityVariant", "ValidationError", "ValidationIssue",
+    "Semantics", "UtilityVariant", "ValidationError", "ValidationIssue",
     "apply_successful_attacks", "build_explanation_model", "build_xaf",
     "complete_explanation", "comps", "construct_arguments", "derive_goal_af", "eval_pref",
     "export_dot", "extensions_of", "format_kinds", "format_rational", "generate_beliefs",
@@ -38,7 +38,7 @@ EXPORTS = [
 
 
 def test_the_package_exports_the_same_names():
-    assert len(EXPORTS) == 58
+    assert len(EXPORTS) == 57
     assert sorted(goalarg.__all__) == EXPORTS
 
 

@@ -11,7 +11,6 @@ from goalarg import (
     IncompatibilityKind,
     ScenarioError,
     Semantics,
-    Stage,
     UtilityVariant,
     kinds_from_letters,
     load_scenario,
@@ -105,7 +104,6 @@ def test_direct_goal_attacks_are_mirrored(tmp_path):
     scenario = load_scenario(write(tmp_path, doc))
     assert scenario.general.attacks == {("a", "b"): {T}, ("b", "a"): {T}}
     raw = run_pipeline(scenario).goal_af_raw
-    assert raw.stage is Stage.RAW
     assert raw.attacks == {("a", "b"): {T}, ("b", "a"): {T}}
 
 

@@ -10,7 +10,6 @@ from conftest import cleaner_general_af, labeled_goal_af, random_goal_af
 from goalarg import (
     GoalAF,
     InputError,
-    Stage,
     UtilityVariant,
     apply_successful_attacks,
     derive_goal_af,
@@ -101,10 +100,17 @@ def test_main_goal_variant_on_fixture(cleaner_filtered):
     )
 
 
-def test_select_requires_filtered_stage():
-    raw = derive_goal_af(cleaner_general_af())
-    with pytest.raises(InputError):
-        select(raw)
+def test_select_answers_the_same_on_a_raw_and_a_filtered_graph():
+    # Conflict-freeness reads only which pairs conflict, and filtering
+    # keeps at least one direction of each.
+    rng = random.Random(23)
+    for _ in range(100):
+        raw = random_goal_af(rng, max_goals=12)
+        for utility, main in ((UtilityVariant.SUM_ALL, None),
+                              (UtilityVariant.SUM_MAIN, frozenset(raw.goals[::2]))):
+            assert select(raw, utility, main) == select(
+                apply_successful_attacks(raw), utility, main
+            )
 
 
 def test_sum_main_requires_main_goals(cleaner_filtered):
@@ -135,7 +141,7 @@ def test_conflict_free_extra_goal_joins_every_maximum():
         before = select(filtered)
         extra = "zz_new"
         grown = GoalAF(
-            {**filtered.pref, extra: Fraction(1, 4)}, filtered.attacks, Stage.FILTERED
+            {**filtered.pref, extra: Fraction(1, 4)}, filtered.attacks
         )
         after = select(grown)
         assert after.cf_count == 2 * before.cf_count
@@ -151,7 +157,7 @@ def test_argmax_family_invariant_under_positive_scaling():
         filtered = apply_successful_attacks(random_goal_af(rng, max_goals=8))
         # scaling by 1/3 keeps every preference inside (0, 1]
         scaled = GoalAF(
-            {g: p / 3 for g, p in filtered.pref.items()}, filtered.attacks, Stage.FILTERED
+            {g: p / 3 for g, p in filtered.pref.items()}, filtered.attacks
         )
         assert set(select(filtered).all_max_extensions) == set(
             select(scaled).all_max_extensions
