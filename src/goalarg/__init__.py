@@ -17,7 +17,7 @@ from importlib import import_module
 # Each module with the public names it defines, one module per entry.
 _EXPORTS = {
     "af_core": "AbstractAF Semantics",
-    "belief_gen": "Belief BeliefKind comps eval_pref generate_beliefs",
+    "belief_gen": "Belief BeliefKind comps generate_beliefs",
     "errors": "GoalArgError InputError QueryDirectionError ScenarioError ValidationError",
     "explain": "Claim Explanation ExplanationKind ExplanationModel ExplanatoryAF"
                " ExplanatoryArgument QueryKind RuleInstance RuleSchema SCHEMAS"

@@ -8,9 +8,8 @@ form; the generic semantics that check those readings are in
 `tests/oracles.py`.
 
 Sets are integer bitmasks with integer scores.  The conflict graph splits
-into connected pieces whose counts multiply; a piece of at most
-`_WALK_SIZE` nodes is walked set by set, and any larger one branches on
-its nodes in conflict with all the others, or else on a node of highest
+into connected pieces whose counts multiply; each piece branches on its
+nodes in conflict with all the others, or else on a node of highest
 degree.  Unconflicted nodes cost nothing, but one large, sparse connected
 piece can still take exponential time.  The maxima come back in a fixed
 lexicographic order so golden tests are stable.
@@ -65,10 +64,6 @@ class AbstractAF:
                 raise InputError(f"self-attack on {attacker!r} is not allowed")
 
 
-# A connected piece of at most this many nodes is walked set by set;
-# branching on one node gains little there.  Any larger piece is branched on.
-_WALK_SIZE = 6
-
 # (number of sets, best score, the bitmasks of the sets scoring it)
 _Found = tuple[int, int, list[int]]
 
@@ -83,14 +78,14 @@ def max_weight_conflict_free(
     are integer bitmasks, the first node in sorted order the highest bit.
     `_solve` splits a mask into connected pieces: across pieces counts
     multiply, best scores add, and the maxima are the unions of one maximum
-    of each piece.  A piece of at most `_WALK_SIZE` nodes is walked
-    (`_walk`).  A larger one branches on the nodes in conflict with all its
+    of each piece.  A piece branches on the nodes in conflict with all its
     others, each a set on its own, or when there is none, on a node v of
     highest degree: the sets without v, and the sets with v, whose other
     members avoid v's neighbours.  Returns (number of sets, best score, the
     sets scoring it); only those are built as frozensets, in the
-    lexicographic order of their sorted nodes, which is the order a walk
-    over the sorted nodes meets them, the empty set first.
+    lexicographic order of their sorted nodes, the empty set first: the
+    order in which a depth-first listing that adds nodes in sorted order
+    meets them.
     """
     order = af.nodes
     n = len(order)
@@ -107,7 +102,7 @@ def max_weight_conflict_free(
     except RecursionError:
         raise InputError(f"the conflicts among the {n} nodes nest too deep to count "
                          "their conflict-free sets") from None
-    # Sort by a set's place in that walk: one step into each member, and
+    # Sort by a set's place in that listing: one step into each member, and
     # the whole subtree of each skipped node before the last member.  With
     # the first node highest, a node's subtree has as many sets as its
     # bit's value.
@@ -126,14 +121,11 @@ def max_weight_conflict_free(
 def _solve(mask: int, step: dict[int, tuple[int, int]], memo: dict[int, _Found]) -> _Found:
     """(count, best score, maxima) over the conflict-free subsets of `mask`.
 
-    A mask of at most `_WALK_SIZE` nodes is walked whole, and so is each
-    such connected piece of a larger one; a larger piece branches.  Each
-    piece is solved once per selection (`memo`): branching meets the same
-    piece again from both sides.  Recursion depth is the number of nested
-    branchings.
+    Each connected piece of the mask branches, and is solved once per
+    selection (`memo`): branching meets the same piece again from both
+    sides.  The empty mask has one set, the empty one, scoring 0.
+    Recursion depth is the number of nested branchings.
     """
-    if mask.bit_count() <= _WALK_SIZE:
-        return _walk(mask, step)
     count, best, maxima = 1, 0, [0]
     while mask:
         piece = frontier = mask & -mask
@@ -146,24 +138,21 @@ def _solve(mask: int, step: dict[int, tuple[int, int]], memo: dict[int, _Found])
         mask ^= piece
         found = memo.get(piece)
         if found is None:
-            if piece.bit_count() <= _WALK_SIZE:
-                found = _walk(piece, step)
-            else:
-                # The sets with none of the split nodes, then those with each.
-                split = _split_nodes(piece, step)
-                found = _solve(piece ^ split, step, memo)
-                while split:
-                    v = split & -split
-                    split ^= v
-                    keep, weight = step[v]
-                    c_in, s_in, m_in = _solve(piece & keep, step, memo)
-                    c, s, m = found
-                    s_in += weight
-                    if s > s_in:
-                        found = (c + c_in, s, m)
-                    else:
-                        m_in = [x | v for x in m_in]
-                        found = (c + c_in, s_in, m + m_in if s == s_in else m_in)
+            # The sets with none of the split nodes, then those with each.
+            split = _split_nodes(piece, step)
+            found = _solve(piece ^ split, step, memo)
+            while split:
+                v = split & -split
+                split ^= v
+                keep, weight = step[v]
+                c_in, s_in, m_in = _solve(piece & keep, step, memo)
+                c, s, m = found
+                s_in += weight
+                if s > s_in:
+                    found = (c + c_in, s, m)
+                else:
+                    m_in = [x | v for x in m_in]
+                    found = (c + c_in, s_in, m + m_in if s == s_in else m_in)
             memo[piece] = found
         c, s, m = found
         count, best = count * c, best + s
@@ -186,25 +175,3 @@ def _split_nodes(piece: int, step: dict[int, tuple[int, int]]) -> int:
             top, v = near.bit_count(), b
     return alone or v
 
-
-def _walk(piece: int, step: dict[int, tuple[int, int]]) -> _Found:
-    """(count, best score, maxima) by visiting every conflict-free subset of
-    `piece` once: a set grows only by bits above the last one added that
-    clash with none of its members (`free`), so each set has one parent."""
-    count, best, maxima = 1, 0, [0]  # the empty set, scoring 0
-    stack = [(piece, 0, 0)]
-    while stack:
-        free, members, score = stack.pop()
-        while free:
-            bit = free & -free
-            free ^= bit
-            keep, weight = step[bit]
-            child, child_score = members | bit, score + weight
-            count += 1
-            if child_score > best:
-                best, maxima = child_score, [child]
-            elif child_score == best:
-                maxima.append(child)
-            if free & keep:
-                stack.append((free & keep, child, child_score))
-    return count, best, maxima

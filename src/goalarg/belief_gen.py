@@ -85,13 +85,6 @@ def comps(gaf_sc: GoalAF) -> frozenset[str]:
     return frozenset(g for g in gaf_sc.goals if g not in touched)
 
 
-def eval_pref(gaf_sc: GoalAF) -> frozenset[tuple[str, str]]:
-    """Attack pairs whose reverse is absent, i.e. decided by preference."""
-    return frozenset(
-        (g, h) for (g, h) in gaf_sc.attacks if (h, g) not in gaf_sc.attacks
-    )
-
-
 def generate_beliefs(gaf_sc: GoalAF, selection: SelectionResult) -> tuple[Belief, ...]:
     """Produce the full belief set for a filtered goal graph and selection.
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -196,9 +197,57 @@ def test_a_clique_past_the_recursion_limit_is_counted():
     assert maxima == [frozenset({node}) for node in nodes]
 
 
+def test_every_small_graph_matches_the_oracle():
+    # Every undirected graph on 0 to 5 nodes: 1 + 1 + 2 + 8 + 64 + 1024.
+    # With all weights 0 every conflict-free set ties for best, which pins
+    # their order.
+    graphs = 0
+    for n in range(6):
+        nodes = [f"n{i}" for i in range(n)]
+        pairs = list(combinations(nodes, 2))
+        for edges in range(1 << len(pairs)):
+            attacks = [pair for k, pair in enumerate(pairs) if edges >> k & 1]
+            af = AbstractAF.of(nodes, attacks)
+            sets = oracles.conflict_free_brute(nodes, set(attacks))
+            for weights in (dict.fromkeys(nodes, 0), {v: i % 3 for i, v in enumerate(nodes)}):
+                best = max(sum(weights[v] for v in s) for s in sets)
+                maxima = sorted((s for s in sets if sum(weights[v] for v in s) == best),
+                                key=sorted)
+                assert max_weight_conflict_free(af, weights) == (len(sets), best, maxima)
+            graphs += 1
+    assert graphs == 1100
+
+
+def frame_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_conflicts_nested_past_the_recursion_limit_are_refused():
+    # A clique less every other pair: no node is in conflict with all the
+    # others, so the search branches on one node per nesting, 120 deep.
+    nodes = [f"n{i:03d}" for i in range(120)]
+    unconflicted = set(zip(nodes[::2], nodes[1::2]))
+    af = AbstractAF.of(nodes, [pair for pair in combinations(nodes, 2)
+                               if pair not in unconflicted])
+    weights = dict.fromkeys(nodes, 1)
+    limit = sys.getrecursionlimit()
+    # Python 3.12 and later refuse a limit below the current depth.
+    sys.setrecursionlimit(frame_depth() + 40)
+    try:
+        with pytest.raises(InputError, match="nest too deep"):
+            max_weight_conflict_free(af, weights)
+    finally:
+        sys.setrecursionlimit(limit)
+    # The empty set, the 120 singletons and the 60 unconflicted pairs.
+    assert max_weight_conflict_free(af, weights)[:2] == (181, 2)
+
+
 def test_a_pipeline_run_leaves_no_cyclic_garbage(cleaner_scenario):
-    # The conflict-free walk is a self-referencing closure; left to the
-    # cyclic collector, each selection would leave its working state behind.
+    # Left to the cyclic collector, working state held in a reference cycle
+    # would outlive each selection.
     gc.collect()
     gc.disable()
     try:

@@ -14,7 +14,6 @@ from goalarg import (
     apply_successful_attacks,
     comps,
     derive_goal_af,
-    eval_pref,
     generate_beliefs,
     kinds_from_letters,
     select,
@@ -71,19 +70,23 @@ def test_comps_disconnected_and_mutual():
     assert comps(duel) == frozenset()
 
 
-def test_eval_pref_worked_example(cleaner_filtered):
-    assert eval_pref(cleaner_filtered) == {
+def pref_pairs(beliefs):
+    return {b.goals for b in beliefs if b.kind is BeliefKind.PREF}
+
+
+def test_pref_beliefs_worked_example(cleaner_beliefs):
+    assert pref_pairs(cleaner_beliefs) == {
         ("g3", "g2"), ("g1", "g4"), ("g3", "g4"), ("g2", "g4"),
     }
 
 
-def test_eval_pref_symmetric_and_single():
+def test_pref_beliefs_symmetric_and_single():
     sym = labeled_goal_af(
         {"a": Fraction(1, 2), "b": Fraction(1, 2)}, {("a", "b"), ("b", "a")}
     )
-    assert eval_pref(sym) == frozenset()
+    assert pref_pairs(generate_beliefs(sym, select(sym))) == set()
     one = labeled_goal_af({"a": Fraction(1, 2), "b": Fraction(1, 3)}, {("a", "b")})
-    assert eval_pref(one) == {("a", "b")}
+    assert pref_pairs(generate_beliefs(one, select(one))) == {("a", "b")}
 
 
 def test_generate_beliefs_refuses_a_raw_graph_with_strict_preferences():
@@ -198,7 +201,7 @@ def test_belief_set_cardinality_formula():
     for _ in range(60):
         filtered = apply_successful_attacks(random_goal_af(rng, max_goals=10))
         beliefs = generate_beliefs(filtered, select(filtered))
-        n_eval = len(eval_pref(filtered))
+        n_eval = sum(1 for (g, h) in filtered.attacks if (h, g) not in filtered.attacks)
         n_eq = sum(1 for (g, h) in filtered.attacks if (h, g) in filtered.attacks)
         expected = (
             len(comps(filtered))

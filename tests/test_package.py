@@ -29,7 +29,7 @@ EXPORTS = [
     "RunConfig", "RunReport", "SCHEMAS", "Scenario", "ScenarioError", "SelectionResult",
     "Semantics", "UtilityVariant", "ValidationError", "ValidationIssue",
     "apply_successful_attacks", "build_explanation_model", "build_xaf",
-    "complete_explanation", "comps", "construct_arguments", "derive_goal_af", "eval_pref",
+    "complete_explanation", "comps", "construct_arguments", "derive_goal_af",
     "export_dot", "extensions_of", "format_kinds", "format_rational", "generate_beliefs",
     "kinds_from_letters", "load_scenario", "parse_scenario", "render_argument",
     "render_partial_explanation", "report_to_dict", "require_valid", "run_pipeline", "select",
@@ -38,7 +38,7 @@ EXPORTS = [
 
 
 def test_the_package_exports_the_same_names():
-    assert len(EXPORTS) == 57
+    assert len(EXPORTS) == 56
     assert sorted(goalarg.__all__) == EXPORTS
 
 

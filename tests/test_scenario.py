@@ -163,6 +163,8 @@ def test_direct_goal_attacks_reject_inconsistent_reverse(tmp_path):
         (lambda d: d["goals"].append({"id": "g1", "predicate": "x", "preference": 0.5}),
          "goals[5].id"),
         (lambda d: d["goals"][0].update(preference=2), "goals[0].preference"),
+        pytest.param(lambda d: d["goals"][0].update(preference="abc"), "goals[0].preference",
+                     id="<lambda>-goals[0].preference-abc"),
         (lambda d: d["goals"][0].update(predicate=""), "goals[0].predicate"),
         (lambda d: d["attacks"][0].pop("kinds"), "attacks[0]"),
         (lambda d: d["attacks"][0].update(kinds=["x"]), "attacks[0].kinds"),
@@ -171,6 +173,7 @@ def test_direct_goal_attacks_reject_inconsistent_reverse(tmp_path):
         (lambda d: d.update(mystery=1), "$"),
         (lambda d: d.update(main_goals=["gX"]), "main_goals"),
         (lambda d: d.update(main_goals=[["x"]]), "main_goals[0]"),
+        (lambda d: d["arguments"][0].update(sub_args="A"), "arguments[0].sub_args"),
         (lambda d: d["arguments"][0].update(sub_args=[["x"]]), "arguments[0].sub_args[0]"),
         (lambda d: d.update(config={"utility": "product"}), "config.utility"),
         (lambda d: d.update(config={"semantics": "ideal"}), "config.semantics"),
