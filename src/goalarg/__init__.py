@@ -16,7 +16,6 @@ from importlib import import_module
 
 # Each module with the public names it defines, one module per entry.
 _EXPORTS = {
-    "af_core": "AbstractAF Semantics",
     "belief_gen": "Belief BeliefKind comps generate_beliefs",
     "errors": "GoalArgError InputError QueryDirectionError ScenarioError ValidationError",
     "explain": "Claim Explanation ExplanationKind ExplanationModel ExplanatoryAF"
@@ -28,7 +27,7 @@ _EXPORTS = {
                     " format_kinds format_rational kinds_from_letters require_valid validate",
     "pipeline": "RunReport report_to_dict run_pipeline",
     "render": "ExplanatorySentence export_dot render_argument render_partial_explanation",
-    "scenario": "RunConfig Scenario load_scenario parse_scenario",
+    "scenario": "RunConfig Scenario Semantics load_scenario parse_scenario",
     "selection": "SelectionResult UtilityVariant select",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

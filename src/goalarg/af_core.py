@@ -1,11 +1,9 @@
-"""Abstract argumentation frameworks and the weighted conflict-free search.
+"""The weighted conflict-free search that selects the pursued goals.
 
-A framework is a directed attack graph over opaque node identifiers.  Goal
-selection counts a framework's conflict-free sets and finds those of
-greatest total weight.  `Semantics` names the classical extension-based
-semantics under which `explain` reads explanatory frameworks in closed
-form; the generic semantics that check those readings are in
-`tests/oracles.py`.
+Goal selection counts the conflict-free sets of a conflict graph and finds
+those of greatest total weight; a set is conflict-free (Dung, AIJ 1995)
+when no two of its members conflict.  Checking the graph is the caller's
+work: `GoalAF` refuses an undeclared goal or a self-attack when built.
 
 Sets are integer bitmasks with integer scores.  The conflict graph splits
 into connected pieces whose counts multiply; each piece branches on its
@@ -17,51 +15,10 @@ lexicographic order so golden tests are stable.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
-from enum import Enum
-from itertools import chain, compress, starmap
-from operator import eq
+from collections.abc import Iterable, Mapping, Sequence
+from itertools import compress
 
 from .errors import InputError
-
-
-class Semantics(Enum):
-
-    GROUNDED = "grounded"
-    COMPLETE = "complete"
-    PREFERRED = "preferred"
-    STABLE = "stable"
-
-
-@dataclass(frozen=True)
-class AbstractAF:
-    """A directed attack graph: `attacks` holds (attacker, target) pairs."""
-
-    nodes: tuple[str, ...]
-    attacks: frozenset[tuple[str, str]]
-
-    @classmethod
-    def of(cls, nodes: Iterable[str], attacks: Iterable[tuple[str, str]] = ()) -> "AbstractAF":
-        """Build a validated framework; nodes are kept in sorted order."""
-        af = cls(tuple(sorted(set(nodes))), frozenset(attacks))
-        af.check()
-        return af
-
-    def check(self) -> None:
-        node_set = set(self.nodes)
-        # A valid framework, the common case, is checked without sorting.
-        if node_set.issuperset(chain.from_iterable(self.attacks)) and not any(
-            starmap(eq, self.attacks)
-        ):
-            return
-        for attacker, target in sorted(self.attacks):  # name the least bad attack
-            if attacker not in node_set:
-                raise InputError(f"attack ({attacker}, {target}): unknown node {attacker!r}")
-            if target not in node_set:
-                raise InputError(f"attack ({attacker}, {target}): unknown node {target!r}")
-            if attacker == target:
-                raise InputError(f"self-attack on {attacker!r} is not allowed")
 
 
 # (number of sets, best score, the bitmasks of the sets scoring it)
@@ -69,13 +26,13 @@ _Found = tuple[int, int, list[int]]
 
 
 def max_weight_conflict_free(
-    af: AbstractAF, weights: Mapping[str, int]
+    nodes: Sequence[str], pairs: Iterable[tuple[str, str]], weights: Mapping[str, int]
 ) -> tuple[int, int, list[frozenset[str]]]:
     """Count the conflict-free sets and find those of greatest total weight.
 
-    A set is conflict-free when no attack joins two of its members in
-    either direction, so only the undirected conflict graph matters.  Sets
-    are integer bitmasks, the first node in sorted order the highest bit.
+    `nodes` lists the node ids sorted, without repeats, and `pairs` the
+    conflicts, each between two of them, in either direction.  Sets are
+    integer bitmasks, the first node in sorted order the highest bit.
     `_solve` splits a mask into connected pieces: across pieces counts
     multiply, best scores add, and the maxima are the unions of one maximum
     of each piece.  A piece branches on the nodes in conflict with all its
@@ -87,13 +44,12 @@ def max_weight_conflict_free(
     order in which a depth-first listing that adds nodes in sorted order
     meets them.
     """
-    order = af.nodes
-    n = len(order)
-    bits = {node: 1 << (n - 1 - i) for i, node in enumerate(order)}
+    n = len(nodes)
+    bits = {node: 1 << (n - 1 - i) for i, node in enumerate(nodes)}
     closed = dict(bits)  # each node's closed neighbourhood in the conflict graph
-    for attacker, target in af.attacks:
-        closed[attacker] |= bits[target]
-        closed[target] |= bits[attacker]
+    for a, b in pairs:
+        closed[a] |= bits[b]
+        closed[b] |= bits[a]
     # Per node bit: the mask of nodes that stay free once it joins, and its weight.
     step = {b: (~closed[node], weights[node]) for node, b in bits.items()}
     full = (1 << n) - 1
@@ -114,7 +70,7 @@ def max_weight_conflict_free(
         maxima = [m + 0 for m in maxima]
     node_bits = tuple(bits.values())
     for i, m in enumerate(maxima):
-        maxima[i] = frozenset(compress(order, map(m.__and__, node_bits)))
+        maxima[i] = frozenset(compress(nodes, map(m.__and__, node_bits)))
     return count, best, maxima
 
 

@@ -2,23 +2,24 @@
 
 One scenario file in, results on stdout; the pipeline is a deterministic
 function of its input, so there is no state beyond the files.  Exit status
-is 0 on success and 1 on any validation or query error, with a diagnostic
-on stderr.  Each command imports the pipeline, explanation and rendering
-modules it runs, so `validate` loads none of them.
+is 0 on success and 1 on any validation or query error, on an output
+closed before it was written and on running out of memory, with a
+diagnostic on stderr.  Each command imports the pipeline, explanation
+and rendering modules it runs, so `validate` loads none of them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Any
 
-from .af_core import AbstractAF, Semantics
 from .errors import GoalArgError, InputError
 from .instrumental import format_rational, require_valid, validate
-from .scenario import Scenario, load_scenario
+from .scenario import Scenario, Semantics, load_scenario
 from .selection import UtilityVariant
 
 if TYPE_CHECKING:
@@ -144,9 +145,7 @@ def _cmd_export(scenario: Scenario, args: argparse.Namespace) -> int:
     from .render import export_dot
 
     if stage == "general":
-        general = require_valid(scenario.general)
-        af = AbstractAF.of((a.id for a in general.args), general.attacks.keys())
-        sys.stdout.write(export_dot(af))
+        sys.stdout.write(export_dot(require_valid(scenario.general)))
         return 0
     report = run_pipeline(scenario)
     names = scenario.names()
@@ -218,10 +217,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(load_scenario(args.scenario), args)
+        code = args.func(load_scenario(args.scenario), args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except GoalArgError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except BrokenPipeError:
+        # Send what is still buffered nowhere, so the final flush cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: output closed before it was written", file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -32,11 +32,11 @@ from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
-from .af_core import Semantics
 from .belief_gen import Belief, BeliefKind, _equal_on_first, generate_beliefs
 from .errors import InputError, QueryDirectionError
 from .goal_graph import GoalAF
 from .instrumental import IncompatibilityKind, format_kinds
+from .scenario import Semantics
 from .selection import SelectionResult
 
 

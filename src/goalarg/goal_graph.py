@@ -13,14 +13,30 @@ same on a raw graph as on its filtered one.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import chain, combinations, product, starmap
+from operator import eq
 
-from .af_core import AbstractAF
+from .errors import InputError
 from .instrumental import GeneralAF, IncompatibilityKind
+
+
+def check_attacks(nodes: Iterable[str], attacks: Collection[tuple[str, str]]) -> None:
+    """Refuse an attack on an unknown node or on itself, naming the least one."""
+    node_set = set(nodes)
+    # A valid graph, the common case, is checked without sorting.
+    if node_set.issuperset(chain.from_iterable(attacks)) and not any(starmap(eq, attacks)):
+        return
+    for attacker, target in sorted(attacks):
+        if attacker not in node_set:
+            raise InputError(f"attack ({attacker}, {target}): unknown node {attacker!r}")
+        if target not in node_set:
+            raise InputError(f"attack ({attacker}, {target}): unknown node {target!r}")
+        if attacker == target:
+            raise InputError(f"self-attack on {attacker!r} is not allowed")
 
 
 @dataclass(frozen=True)
@@ -39,7 +55,7 @@ class GoalAF:
     attacks: Mapping[tuple[str, str], frozenset[IncompatibilityKind]]
 
     def __post_init__(self) -> None:
-        AbstractAF(self.goals, self.attacks.keys()).check()
+        check_attacks(self.goals, self.attacks.keys())
 
     @cached_property
     def goals(self) -> tuple[str, ...]:

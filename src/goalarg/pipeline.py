@@ -14,7 +14,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any
 
-from .af_core import Semantics
 from .belief_gen import Belief
 from .explain import (
     ExplanationModel,
@@ -25,7 +24,7 @@ from .explain import (
 )
 from .goal_graph import GoalAF, apply_successful_attacks, derive_goal_af
 from .instrumental import LETTERS, GoalDecl, format_rational, require_valid
-from .scenario import RunConfig, Scenario
+from .scenario import RunConfig, Scenario, Semantics
 from .selection import SelectionResult, UtilityVariant, select
 
 

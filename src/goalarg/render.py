@@ -13,11 +13,10 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import NamedTuple
 
-from .af_core import AbstractAF
 from .errors import InputError
 from .explain import Explanation, ExplanationKind, ExplanatoryAF, ExplanatoryArgument
 from .goal_graph import GoalAF
-from .instrumental import format_kinds
+from .instrumental import GeneralAF, format_kinds
 
 
 SENTENCE_TEMPLATES: Mapping[str, str] = {
@@ -97,12 +96,12 @@ def _dot_label(label: str | None) -> str:
 
 
 def export_dot(
-    af: AbstractAF | GoalAF | ExplanatoryAF, names: Mapping[str, str] | None = None
+    af: GeneralAF | GoalAF | ExplanatoryAF, names: Mapping[str, str] | None = None
 ) -> str:
-    """Deterministic DOT text for any of the three framework shapes.
+    """Deterministic DOT text for a plan, goal or explanatory framework.
 
-    Goal graphs carry their conflict kinds as edge labels; explanatory
-    frameworks label each node with its claim.
+    Plans come in id order; goal graphs carry their conflict kinds as edge
+    labels; explanatory frameworks label each node with its claim.
     """
     if isinstance(af, GoalAF):
         nodes = [(g, f"{g}: {names[g]}" if names and g in names else g) for g in af.goals]
@@ -111,7 +110,7 @@ def export_dot(
         nodes = [(arg.id, f"{arg.id}: {arg.claim}") for arg in af.arguments]
         edges = [(a, b, None) for (a, b) in sorted(af.defeats)]
     else:
-        nodes = [(node, None) for node in af.nodes]
+        nodes = [(arg_id, None) for arg_id in sorted({arg.id for arg in af.args})]
         edges = [(a, b, None) for (a, b) in sorted(af.attacks)]
     lines = ["digraph {"]
     lines += [f"  {_dot_quote(n)}{_dot_label(label)};" for n, label in nodes]

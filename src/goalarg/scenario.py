@@ -7,7 +7,8 @@ one plan per goal: it loads as a plan level whose plan ids are the goal
 ids, with each declared conflict in both directions, so both kinds of
 document take the same route through the pipeline (`goalarg.pipeline`).
 Preferences are parsed as exact fractions ("0.8" means 4/5, never a
-float), so selection and all golden outputs are exact.
+float), so selection and all golden outputs are exact.  `config` may
+name the utility variant and the `Semantics` that reads explanations.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ import math
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .af_core import Semantics
 from .errors import ScenarioError
 from .instrumental import (
     DIGITS_BOUND,
@@ -35,6 +36,15 @@ from .instrumental import (
     kinds_from_letters,
 )
 from .selection import UtilityVariant
+
+
+class Semantics(Enum):
+    """The semantics under which each goal's explanatory framework is read."""
+
+    GROUNDED = "grounded"
+    COMPLETE = "complete"
+    PREFERRED = "preferred"
+    STABLE = "stable"
 
 
 @dataclass(frozen=True)

@@ -58,8 +58,7 @@ def select(
             raise InputError(f"main goals not declared: {', '.join(unknown)}")
         weights = {g: w if g in main_goals else 0 for g, w in weights.items()}
 
-    af = af_core.AbstractAF(gaf_sc.goals, gaf_sc.attacks.keys())  # checked when built
-    count, best, maxima = af_core.max_weight_conflict_free(af, weights)
+    count, best, maxima = af_core.max_weight_conflict_free(gaf_sc.goals, gaf_sc.attacks, weights)
     if count >= DIGITS_BOUND:  # reports print the count
         raise InputError("the number of conflict-free goal sets has more digits "
                          "than can be printed")

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -43,6 +46,17 @@ CLEANER_ARGS = (
 _TR_PAIRS = [("A", "B"), ("E", "B"), ("E", "H"), ("A", "H")]
 _T_PAIRS = [("C", "B"), ("D", "B"), ("D", "H"), ("C", "H")]
 _S_PAIRS = [("C", "A"), ("E", "D"), ("C", "E"), ("A", "D"), ("F", "B"), ("F", "H")]
+
+
+@cache
+def bench_gen():
+    """The benchmark's document generator, `bench/gen.py`, loaded by file
+    path after the `bench/oracle.py` it imports as `oracle`."""
+    for name in ("oracle", "gen"):
+        spec = importlib.util.spec_from_file_location(name, REPO_ROOT / "bench" / f"{name}.py")
+        sys.modules[name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
 
 
 def cleaner_general_af() -> GeneralAF:

@@ -2,10 +2,10 @@
 
 The reference semantics come first: the conflict-free, admissible,
 complete, grounded, preferred and stable extensions of an `AbstractAF`,
-over the library's pruned conflict-free search and an attacker index
-built once per call.  The library runs none of them; it reads its
-explanatory frameworks in closed form, and the tests check those
-readings against these.
+the plain attack graph defined here, over the library's pruned
+conflict-free search and an attacker index built once per call.  The
+library runs none of them; it reads its explanatory frameworks in
+closed form, and the tests check those readings against these.
 
 Everything after them is written straight from the definitions.  The
 `*_brute` functions enumerate all subsets and apply the defining
@@ -17,16 +17,32 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, combinations, product
+from typing import NamedTuple
 
 from goalarg import SCHEMAS, Claim, InputError, RuleInstance
 from goalarg.af_core import max_weight_conflict_free
+from goalarg.goal_graph import check_attacks
+
+
+class AbstractAF(NamedTuple):
+    """A directed attack graph: `attacks` holds (attacker, target) pairs."""
+
+    nodes: tuple
+    attacks: frozenset
+
+    @classmethod
+    def of(cls, nodes, attacks=()):
+        """A framework checked as goal graphs are, its nodes sorted."""
+        af = cls(tuple(sorted(set(nodes))), frozenset(attacks))
+        check_attacks(af.nodes, af.attacks)
+        return af
 
 
 def conflict_free_sets(af):
     """All subsets with no internal attack in either direction, the empty
     set included, in lexicographic order: the weighted search with every
     weight 0, where every set ties for best."""
-    return max_weight_conflict_free(af, dict.fromkeys(af.nodes, 0))[2]
+    return max_weight_conflict_free(af.nodes, af.attacks, dict.fromkeys(af.nodes, 0))[2]
 
 
 def _attackers(af):

@@ -19,7 +19,6 @@ from conftest import (
     random_goal_af,
 )
 from goalarg import (
-    AbstractAF,
     BeliefKind,
     Claim,
     Semantics,
@@ -38,6 +37,7 @@ from goalarg import (
 )
 from goalarg.cli import main
 from oracles import (
+    AbstractAF,
     complete_extensions,
     grounded_extension,
     preferred_extensions,

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from goalarg import AbstractAF, InputError, run_pipeline
+from goalarg import InputError, run_pipeline
 from goalarg.af_core import max_weight_conflict_free
 from oracles import (
+    AbstractAF,
     characteristic,
     complete_extensions,
     conflict_free_sets,
@@ -192,7 +193,7 @@ def test_a_clique_past_the_recursion_limit_is_counted():
     n = sys.getrecursionlimit() + 10
     nodes = [f"n{i:04d}" for i in range(n)]
     af = AbstractAF.of(nodes, [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]])
-    count, best, maxima = max_weight_conflict_free(af, dict.fromkeys(nodes, 1))
+    count, best, maxima = max_weight_conflict_free(af.nodes, af.attacks, dict.fromkeys(nodes, 1))
     assert (count, best) == (n + 1, 1)
     assert maxima == [frozenset({node}) for node in nodes]
 
@@ -213,7 +214,8 @@ def test_every_small_graph_matches_the_oracle():
                 best = max(sum(weights[v] for v in s) for s in sets)
                 maxima = sorted((s for s in sets if sum(weights[v] for v in s) == best),
                                 key=sorted)
-                assert max_weight_conflict_free(af, weights) == (len(sets), best, maxima)
+                found = max_weight_conflict_free(af.nodes, af.attacks, weights)
+                assert found == (len(sets), best, maxima)
             graphs += 1
     assert graphs == 1100
 
@@ -238,11 +240,11 @@ def test_conflicts_nested_past_the_recursion_limit_are_refused():
     sys.setrecursionlimit(frame_depth() + 40)
     try:
         with pytest.raises(InputError, match="nest too deep"):
-            max_weight_conflict_free(af, weights)
+            max_weight_conflict_free(af.nodes, af.attacks, weights)
     finally:
         sys.setrecursionlimit(limit)
     # The empty set, the 120 singletons and the 60 unconflicted pairs.
-    assert max_weight_conflict_free(af, weights)[:2] == (181, 2)
+    assert max_weight_conflict_free(af.nodes, af.attacks, weights)[:2] == (181, 2)
 
 
 def test_a_pipeline_run_leaves_no_cyclic_garbage(cleaner_scenario):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CLEANER_WORLD, GOLDEN_DIR, REPO_ROOT, random_general_af
+from conftest import CLEANER_WORLD, GOLDEN_DIR, REPO_ROOT, bench_gen, random_general_af
 from goalarg import load_scenario, run_pipeline, selection
 from goalarg.cli import main
 
@@ -278,6 +278,18 @@ def test_export_general_stage(run):
     code, out, _ = run("export", CLEANER_WORLD, "--dot", "general")
     assert code == 0
     assert out.count(" -> ") == 28
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["--dot", "general"], "cleaner_world_general.dot"),
+    (["--dot", "goals-raw"], "cleaner_world_goals-raw.dot"),
+    (["--dot", "goals"], "cleaner_world_goals.dot"),
+    (["--dot", "xaf", "--goal", "g4"], "cleaner_world_xaf_g4.dot"),
+], ids=["general", "goals-raw", "goals", "xaf-g4"])
+def test_export_matches_golden_files(run, argv, golden):
+    code, out, err = run("export", CLEANER_WORLD, *argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / golden).read_text()
 
 
 def test_export_xaf_requires_goal(run):
@@ -588,6 +600,34 @@ def test_a_count_too_long_to_print_is_an_error_line(run, tmp_path, monkeypatch):
     code, out, err = run("select", write_scenario(tmp_path, chain_doc(24, False)))
     assert (code, out) == (1, "")
     assert err == "error: the number of conflict-free goal sets has more digits than can be printed\n"
+
+
+@pytest.mark.parametrize("command, lines", [("report", 1), ("select", 0)],
+                         ids=["large-output-closed-after-one-line", "closed-before-any-output"])
+def test_a_closed_output_ends_in_an_error_line(tmp_path, command, lines):
+    # dense-20's report (about 455 KB) outgrows the pipe, so the command
+    # is still writing when the reader goes; select's few lines wait in the
+    # stdout buffer until the reader has gone.
+    path = write_scenario(tmp_path, bench_gen().direct_doc(random.Random(1), 20, 0.8))
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = [sys.executable, "-X", "dev", "-W", "error", "-m", "goalarg.cli", command, str(path)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, env=env) as child:
+        for _ in range(lines):
+            child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=60)
+    assert (code, err) == (1, "error: output closed before it was written\n")
+
+
+def test_running_out_of_memory_ends_in_an_error_line(run, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("goalarg.pipeline.run_pipeline", exhausted)
+    assert run("report", CLEANER_WORLD) == (1, "", "error: out of memory\n")
 
 
 def plan_level_doc(gaf):

@@ -5,9 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import cleaner_general_af, random_general_af, random_goal_af
+from conftest import bench_gen, cleaner_general_af, random_general_af, random_goal_af
 from goalarg import (
-    AbstractAF,
     Belief,
     BeliefKind,
     Claim,
@@ -38,6 +37,7 @@ from goalarg import (
 )
 from goalarg.explain import SCHEMAS
 from oracles import (
+    AbstractAF,
     complete_extensions,
     defeats,
     derives,
@@ -489,6 +489,20 @@ def test_pipeline_extensions_match_af_core_under_every_semantics():
                 assert [frozenset(a.id for a in ext) for ext in got] == evaluate(af)
                 for ext in got:
                     assert [a.index for a in ext] == sorted(a.index for a in ext)
+
+
+@pytest.mark.parametrize("family", ["select-sparse", "explain-dense", "cli-mix"])
+def test_every_semantics_reads_the_grounded_extension_on_benchmark_documents(family):
+    # Each framework of the benchmark's seed-1 documents has one decisive
+    # argument, so all four semantics give one extension: the grounded one.
+    for doc in bench_gen().family_docs(family, 1, 100):
+        for xaf in run_pipeline(parse_scenario(doc)).model.xafs.values():
+            found = {s: [[a.id for a in ext] for ext in extensions_of(xaf, s)]
+                     for s in Semantics}
+            (extension,) = found[Semantics.GROUNDED]
+            assert all(ids == [extension] for ids in found.values())
+            af = AbstractAF.of((a.id for a in xaf.arguments), xaf.defeats)
+            assert set(extension) == grounded_extension(af)
 
 
 def test_pooled_frameworks_match_af_core_under_every_semantics():

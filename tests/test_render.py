@@ -6,8 +6,9 @@ import pytest
 
 from conftest import GOLDEN_DIR, cleaner_general_af
 from goalarg import (
-    AbstractAF,
+    GeneralAF,
     InputError,
+    InstrumentalArgDecl,
     Semantics,
     apply_successful_attacks,
     build_explanation_model,
@@ -16,6 +17,7 @@ from goalarg import (
     derive_goal_af,
     export_dot,
     format_rational,
+    kinds_from_letters,
     render_argument,
     render_partial_explanation,
     select,
@@ -152,8 +154,14 @@ def test_every_schema_has_a_template():
     assert {s.id for s in SCHEMAS} == set(SENTENCE_TEMPLATES)
 
 
+def plan_af(ids, attacks=()):
+    """A plan framework: one plan per id, each attack labelled `t`."""
+    args = tuple(InstrumentalArgDecl(i, i) for i in ids)
+    return GeneralAF((), args, dict.fromkeys(attacks, kinds_from_letters("t")))
+
+
 def test_export_dot_empty():
-    assert export_dot(AbstractAF.of([])) == "digraph {\n}\n"
+    assert export_dot(plan_af([])) == "digraph {\n}\n"
 
 
 def test_export_dot_goal_graph(cleaner_model, names):
@@ -174,13 +182,13 @@ def test_export_dot_explanatory_framework(cleaner_model):
 
 
 def test_export_dot_abstract():
-    af = AbstractAF.of(["a", "b"], [("a", "b")])
-    assert export_dot(af) == 'digraph {\n  "a";\n  "b";\n  "a" -> "b";\n}\n'
+    # Plans are drawn in id order, and their attacks without labels.
+    af = plan_af(["b", "a"], [("b", "a"), ("a", "b")])
+    assert export_dot(af) == 'digraph {\n  "a";\n  "b";\n  "a" -> "b";\n  "b" -> "a";\n}\n'
 
 
 def test_export_dot_escapes_quotes():
-    af = AbstractAF.of(['say "hi"'])
-    assert '\\"hi\\"' in export_dot(af)
+    assert '\\"hi\\"' in export_dot(plan_af(['say "hi"']))
 
 
 def test_format_rational():

@@ -156,37 +156,52 @@ def test_direct_goal_attacks_reject_inconsistent_reverse(tmp_path):
         load_scenario(write(tmp_path, doc))
 
 
+# (mutation, where the refusal points, a fragment of its message)
+SCHEMA_VIOLATIONS = [
+    (lambda d: d.pop("goals"), "goals", "'goals' must be a nonempty list"),
+    (lambda d: d["goals"].append({"id": "g1", "predicate": "x", "preference": 0.5}),
+     "goals[5].id", "duplicate goal id 'g1'"),
+    (lambda d: d["goals"][0].update(preference=2), "goals[0].preference", "outside (0, 1]"),
+    (lambda d: d["goals"][0].update(preference="abc"), "goals[0].preference",
+     "not a valid rational"),
+    (lambda d: d["goals"][0].update(predicate=""), "goals[0].predicate",
+     "'predicate' must be a nonempty string"),
+    (lambda d: d["attacks"][0].pop("kinds"), "attacks[0]", "missing key 'kinds'"),
+    (lambda d: d["attacks"][0].update(kinds=["x"]), "attacks[0].kinds",
+     "unknown incompatibility kind 'x'"),
+    (lambda d: d.update(goal_attacks=[]), "$", "exactly one of 'attacks'"),
+    (lambda d: d.pop("attacks"), "$", "exactly one of 'attacks'"),
+    (lambda d: d.update(mystery=1), "$", "unknown keys: mystery"),
+    (lambda d: d.update(main_goals=["gX"]), "main_goals", "unknown goal 'gX'"),
+    (lambda d: d.update(main_goals=[["x"]]), "main_goals[0]", "must be a string"),
+    (lambda d: d["arguments"][0].update(sub_args="A"), "arguments[0].sub_args",
+     "'sub_args' must be a list"),
+    (lambda d: d["arguments"][0].update(sub_args=[["x"]]), "arguments[0].sub_args[0]",
+     "must be a string"),
+    (lambda d: d.update(config={"utility": "product"}), "config.utility",
+     "unknown utility variant 'product'"),
+    (lambda d: d.update(config={"semantics": "ideal"}), "config.semantics",
+     "unknown semantics 'ideal'"),
+    (lambda d: d.update(config={"tie_break": "random"}), "config.tie_break",
+     "unknown tie-break policy 'random'"),
+    (lambda d: d.update(config={"bogus": 1}), "config", "unknown config keys: bogus"),
+]
+
+
+# The ids name the location alone, as they did before the rows held a message;
+# the second preference row keeps its `-abc`.
 @pytest.mark.parametrize(
-    "mutate, location",
-    [
-        (lambda d: d.pop("goals"), "goals"),
-        (lambda d: d["goals"].append({"id": "g1", "predicate": "x", "preference": 0.5}),
-         "goals[5].id"),
-        (lambda d: d["goals"][0].update(preference=2), "goals[0].preference"),
-        pytest.param(lambda d: d["goals"][0].update(preference="abc"), "goals[0].preference",
-                     id="<lambda>-goals[0].preference-abc"),
-        (lambda d: d["goals"][0].update(predicate=""), "goals[0].predicate"),
-        (lambda d: d["attacks"][0].pop("kinds"), "attacks[0]"),
-        (lambda d: d["attacks"][0].update(kinds=["x"]), "attacks[0].kinds"),
-        (lambda d: d.update(goal_attacks=[]), "$"),
-        (lambda d: d.pop("attacks"), "$"),
-        (lambda d: d.update(mystery=1), "$"),
-        (lambda d: d.update(main_goals=["gX"]), "main_goals"),
-        (lambda d: d.update(main_goals=[["x"]]), "main_goals[0]"),
-        (lambda d: d["arguments"][0].update(sub_args="A"), "arguments[0].sub_args"),
-        (lambda d: d["arguments"][0].update(sub_args=[["x"]]), "arguments[0].sub_args[0]"),
-        (lambda d: d.update(config={"utility": "product"}), "config.utility"),
-        (lambda d: d.update(config={"semantics": "ideal"}), "config.semantics"),
-        (lambda d: d.update(config={"tie_break": "random"}), "config.tie_break"),
-        (lambda d: d.update(config={"bogus": 1}), "config"),
-    ],
+    "mutate, location, fragment", SCHEMA_VIOLATIONS,
+    ids=[f"<lambda>-{location}" + ("-abc" if "rational" in fragment else "")
+         for _, location, fragment in SCHEMA_VIOLATIONS],
 )
-def test_schema_violations_carry_locations(mutate, location):
+def test_schema_violations_carry_locations(mutate, location, fragment):
     doc = load_doc()
     mutate(doc)
     with pytest.raises(ScenarioError) as err:
         parse_scenario(doc)
     assert err.value.location == location
+    assert fragment in str(err.value)
 
 
 def goal_level_doc(*entries):
