@@ -7,7 +7,8 @@ maximum-utility set.  They live in their own store rather than being mixed
 into a general belief base, which keeps explanation provenance clean.
 
 A belief is an immutable named tuple: it is built with one tuple
-allocation, copied with `_replace`, and compared by shape alone.
+allocation, copied with `_replace`, and compared and hashed as the tuple
+of its fields, id and provenance included.
 """
 
 from __future__ import annotations
@@ -37,34 +38,14 @@ _NEGATED = {BeliefKind.NOT_INCOMP: "incomp", BeliefKind.NOT_PREF: "pref",
             BeliefKind.NOT_MAX_UTIL: "max_util"}
 
 
-def _equal_on_first(n: int):
-    """`__eq__`, `__ne__` and `__hash__` for a named tuple that compares on
-    its first n fields and equals only instances of its own class.  Tuple's
-    own `__ne__` would compare every field, so it is replaced too."""
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and self[:n] == other[:n]
-
-    def __ne__(self, other):
-        return other.__class__ is not self.__class__ or self[:n] != other[:n]
-
-    def __hash__(self):
-        return hash(self[:n])
-
-    return __eq__, __ne__, __hash__
-
-
 class Belief(NamedTuple):
-    """One ground fact.  Equality and hashing ignore the bookkeeping fields
-    `index` and `provenance`, so beliefs compare by shape alone."""
+    """One ground fact, with its id number and the step that made it."""
 
     kind: BeliefKind
     goals: tuple[str, ...]
     labels: frozenset[IncompatibilityKind] | None = None
     index: int = 0
     provenance: str = ""
-
-    __eq__, __ne__, __hash__ = _equal_on_first(3)
 
     @property
     def id(self) -> str:

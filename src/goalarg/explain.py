@@ -18,9 +18,9 @@ unattacked and defeating each opponent: under every semantics its one
 extension is the side that agrees with the selection, so a framework
 derives its defeat edges only when they are first read.
 
-Claims, rule instances and arguments are immutable named tuples, built
-with one tuple allocation each.  A rule instance or an argument compares
-on every field but its `index`, so copies with other ids are equal.
+Claims, rule patterns, rule instances and arguments are immutable named
+tuples, built with one tuple allocation each, and each compares and
+hashes as the tuple of its fields, ids included.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
-from .belief_gen import Belief, BeliefKind, _equal_on_first, generate_beliefs
+from .belief_gen import Belief, BeliefKind, generate_beliefs
 from .errors import InputError, QueryDirectionError
 from .goal_graph import GoalAF
 from .instrumental import IncompatibilityKind, format_kinds
@@ -50,16 +50,14 @@ class Claim(NamedTuple):
         return f"pursued({self.goal})" if self.pursued else f"¬pursued({self.goal})"
 
 
-@dataclass(frozen=True)
-class AtomPattern:
+class AtomPattern(NamedTuple):
     """One body atom of a schema: belief kind plus positional variables."""
 
     kind: BeliefKind
     vars: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class RuleSchema:
+class RuleSchema(NamedTuple):
     """A rule template.  `decisive` marks the max-utility rules, whose
     arguments defeat (rather than merely rebut) their opponents."""
 
@@ -94,8 +92,6 @@ class RuleInstance(NamedTuple):
     body: tuple[Belief, ...]
     head: Claim
     index: int = 0
-
-    __eq__, __ne__, __hash__ = _equal_on_first(6)
 
     @property
     def id(self) -> str:
@@ -168,8 +164,6 @@ class ExplanatoryArgument(NamedTuple):
     instance: RuleInstance
     index: int = 0
 
-    __eq__, __ne__, __hash__ = _equal_on_first(1)
-
     @property
     def id(self) -> str:
         return f"A{self.index}"
@@ -203,20 +197,15 @@ def construct_arguments(
     The support is that one instance plus its body: it derives the claim,
     holds no rule for the opposite claim, and stops deriving the claim if
     any element is dropped, so it is derivable, consistent and minimal by
-    construction.  Body beliefs are checked by identity against `beliefs`;
-    only an instance with a body belief that is not one of them is checked
-    by equality, so the beliefs are hashed only when copies come in.
+    construction.  Each body belief must equal one of `beliefs`, id and
+    provenance included, so every support id the argument cites is a
+    belief of this set.
     """
-    beliefs = tuple(beliefs)
-    given = set(map(id, beliefs))
-    equal: set[Belief] | None = None
+    known = set(beliefs)
     out: list[ExplanatoryArgument] = []
     for index, inst in enumerate(instances, 1):
-        if not given.issuperset(map(id, inst.body)):
-            if equal is None:
-                equal = set(beliefs)
-            if not equal.issuperset(inst.body):
-                raise InputError(f"instance {inst.id} was not triggered from these beliefs")
+        if not known.issuperset(inst.body):
+            raise InputError(f"instance {inst.id} was not triggered from these beliefs")
         out.append(ExplanatoryArgument(inst, index))
     return tuple(out)
 

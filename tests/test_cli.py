@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -591,6 +592,62 @@ def test_select_on_a_long_conflict_path_ends_in_an_exit_code(tmp_path):
     assert done.returncode in (0, 1)
     errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
     assert done.stderr == "" if done.returncode == 0 else len(errors) == 1, done.stderr
+
+
+def ranked_goals(n):
+    """n goals at twenty preference levels."""
+    return [{"id": f"g{i:03d}", "predicate": f"task{i}()", "preference": f"{i % 20 + 1}/20"}
+            for i in range(n)]
+
+
+def full_conflict_doc(n):
+    """n goals, every pair in conflict one way."""
+    goals = ranked_goals(n)
+    attacks = [{"from": a["id"], "to": b["id"], "kinds": ["r"]}
+               for i, a in enumerate(goals) for b in goals[i + 1:]]
+    return {"goals": goals, "goal_attacks": attacks}
+
+
+def plans_in_conflict_doc(n, k):
+    """n goals with k plans each; every two plans of different goals attack
+    each other both ways."""
+    goals = ranked_goals(n)
+    plans = [{"id": f"{g['id']}p{j}", "claim": g["id"], "sub_args": []}
+             for g in goals for j in range(k)]
+    attacks = [{"from": a["id"], "to": b["id"], "kinds": ["t"]}
+               for a in plans for b in plans if a["claim"] != b["claim"]]
+    return {"goals": goals, "arguments": plans, "attacks": attacks}
+
+
+def limit_address_space():
+    # Runs in the child between fork and exec, so only the child is capped.
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize(
+    "doc, argv",
+    [
+        ("full200", ["select"]),
+        ("full200", ["explain", "why-not", "g000"]),
+        ("full200", ["beliefs"]),
+        ("plans-100x3", ["select"]),
+        ("plans-100x3", ["report"]),
+    ],
+    ids=["full200-select", "full200-why-not", "full200-beliefs",
+         "plans-100x3-select", "plans-100x3-report"],
+)
+def test_large_valid_documents_end_under_a_memory_cap(tmp_path, doc, argv):
+    built = full_conflict_doc(200) if doc == "full200" else plans_in_conflict_doc(100, 3)
+    path = write_scenario(tmp_path, built)
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "goalarg.cli", *argv, str(path)],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                          timeout=120, env=env, preexec_fn=limit_address_space)
+    assert done.returncode in (0, 1), done.stderr
+    if done.returncode == 1:
+        assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1, done.stderr
+    else:
+        assert done.stderr == ""
 
 
 def test_a_count_too_long_to_print_is_an_error_line(run, tmp_path, monkeypatch):

@@ -11,11 +11,9 @@ from goalarg import (
     BeliefKind,
     Claim,
     ExplanationKind,
-    ExplanatoryArgument,
     InputError,
     QueryDirectionError,
     QueryKind,
-    RuleInstance,
     Semantics,
     apply_successful_attacks,
     build_explanation_model,
@@ -196,30 +194,34 @@ def test_construct_accepts_instances_triggered_from_equal_copies(cleaner_model):
     assert str(err.value) == f"instance {foreign[-1].id} was not triggered from these beliefs"
 
 
-def test_records_compare_as_before(cleaner_model):
-    # Beliefs compare on (kind, goals, labels), rule instances and arguments
-    # on every field but `index`, and each record equals only its own class.
+def test_construct_refuses_instances_citing_beliefs_it_was_not_given(cleaner_model):
+    # Equal but for their ids, the copies would give arguments whose support
+    # ids (b101, b102, ...) name no belief of the set.
+    copies = tuple(b._replace(index=b.index + 100) for b in cleaner_model.beliefs)
+    with pytest.raises(InputError) as err:
+        construct_arguments(cleaner_model.beliefs, trigger_rules(copies))
+    assert str(err.value) == "instance r1 was not triggered from these beliefs"
+
+
+def test_records_compare_as_tuples(cleaner_model):
+    # Beliefs, rule instances and arguments compare and hash as the plain
+    # tuples of their fields, ids and provenance included.
     belief = next(b for b in cleaner_model.beliefs if b.kind is BeliefKind.INCOMPAT)
     inst, arg = cleaner_model.instances[3], cleaner_model.arguments[3]
     other_labels = kinds_from_letters("rs" if belief.labels != kinds_from_letters("rs") else "t")
-    equal = [
+    equal = [(record, copy) for record in (belief, inst, arg)
+             for copy in (record._replace(), tuple(record))]
+    unequal = [
         (belief, belief._replace(index=99)),
         (belief, belief._replace(provenance="elsewhere")),
-        (inst, inst._replace(index=99)),
-        (arg, arg._replace(index=99)),
-        (arg, arg._replace(instance=inst._replace(index=99))),
-    ]
-    unequal = [
         (belief, belief._replace(goals=belief.goals[::-1])),
         (belief, belief._replace(labels=other_labels)),
+        (inst, inst._replace(index=99)),
         (inst, inst._replace(x="elsewhere")),
         (inst, inst._replace(head=negation(inst.head))),
+        (arg, arg._replace(index=99)),
+        (arg, arg._replace(instance=inst._replace(index=99))),
         (arg, arg._replace(instance=cleaner_model.instances[4])),
-        # Same leading fields, other class: never equal, either way round.
-        (belief, RuleInstance(*belief, None, belief.index)),
-        (belief, ExplanatoryArgument(*belief[:2])),
-        (inst, ExplanatoryArgument(*inst[:2])),
-        (belief, tuple(belief)),
     ]
     for a, b in equal + unequal:
         for left, right in ((a, b), (b, a)):
@@ -553,29 +555,14 @@ def contested_xaf(n):
     return build_xaf("g", construct_arguments(beliefs, trigger_rules(beliefs)))
 
 
-def test_extensions_of_never_builds_an_abstract_framework(monkeypatch):
-    # Every extensions_of call runs with AbstractAF.of raising, while the
-    # pooled test's reference evaluation still builds its frameworks.
-    evaluate = extensions_of
-
-    def forbidden(*args):
-        raise AssertionError("extensions_of built an AbstractAF")
-
-    def guarded(xaf, semantics):
-        with monkeypatch.context() as patched:
-            patched.setattr(AbstractAF, "of", forbidden)
-            return evaluate(xaf, semantics)
-
-    monkeypatch.setitem(globals(), "extensions_of", guarded)
-    test_pooled_frameworks_match_af_core_under_every_semantics()
-
+def test_a_contested_framework_is_read_off_its_two_sides():
     xaf = contested_xaf(40)
     pro, con = xaf.arguments[:40], xaf.arguments[40:]
     assert {a.claim.pursued for a in pro} == {True} and {a.claim.pursued for a in con} == {False}
-    assert guarded(xaf, Semantics.GROUNDED) == ((),)
-    assert guarded(xaf, Semantics.COMPLETE) == ((), pro, con)
-    assert guarded(xaf, Semantics.PREFERRED) == (pro, con)
-    assert guarded(xaf, Semantics.STABLE) == (pro, con)
+    assert extensions_of(xaf, Semantics.GROUNDED) == ((),)
+    assert extensions_of(xaf, Semantics.COMPLETE) == ((), pro, con)
+    assert extensions_of(xaf, Semantics.PREFERRED) == (pro, con)
+    assert extensions_of(xaf, Semantics.STABLE) == (pro, con)
 
 
 def contested_with_shared_ids():
