@@ -6,9 +6,11 @@ conflict connect each attacking pair, and who made it into the
 maximum-utility set.  They live in their own store rather than being mixed
 into a general belief base, which keeps explanation provenance clean.
 
-A belief is an immutable named tuple: it is built with one tuple
-allocation, copied with `_replace`, and compared and hashed as the tuple
-of its fields, id and provenance included.
+A belief is an immutable named tuple: it is copied with `_replace`, and
+compared and hashed as the tuple of its fields, id and provenance
+included.  `generate_beliefs` builds each one with `tuple.__new__(Belief,
+fields)`, as `Belief._make` does, without the Python frame of the named
+tuple's `__new__`; its fields are read in C, like any tuple item.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from .errors import InputError
 from .goal_graph import GoalAF
 from .instrumental import IncompatibilityKind, format_kinds
 from .selection import SelectionResult
+
+# Builds a named tuple from its fields in C (see the module docstring).
+_new = tuple.__new__
 
 
 class BeliefKind(Enum):
@@ -105,6 +110,6 @@ def generate_beliefs(gaf_sc: GoalAF, selection: SelectionResult) -> tuple[Belief
     shapes += [(BeliefKind.MAX_UTIL, (g,), None, "max-utility") for g in sorted(selection.pursued)]
     shapes += [(BeliefKind.NOT_MAX_UTIL, (g,), None, "non-max-utility")
                for g in sorted(set(gaf_sc.goals) - selection.pursued)]
-    return tuple([Belief(kind, goals, labels, index, provenance)
+    return tuple([_new(Belief, (kind, goals, labels, index, provenance))
                   for index, (kind, goals, labels, provenance)
                   in enumerate(shapes + decided + equal, 1)])

@@ -19,8 +19,13 @@ extension is the side that agrees with the selection, so a framework
 derives its defeat edges only when they are first read.
 
 Claims, rule patterns, rule instances and arguments are immutable named
-tuples, built with one tuple allocation each, and each compares and
-hashes as the tuple of its fields, ids included.
+tuples, and each compares and hashes as the tuple of its fields, ids
+included.  The pipeline builds claims, instances and arguments with
+`tuple.__new__(Cls, fields)`, as `Cls._make` does, without the Python
+frame of the named tuple's `__new__`, and each has one such construction
+site.  An argument's `claim`, `schema_id` and `decisive` are `attrgetter`
+properties, read in C like the fields themselves, so grouping, sides and
+extensions run no Python frame per argument.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain, count, repeat
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -38,6 +44,9 @@ from .goal_graph import GoalAF
 from .instrumental import IncompatibilityKind, format_kinds
 from .scenario import Semantics
 from .selection import SelectionResult
+
+# Builds a named tuple from its fields in C (see the module docstring).
+_new = tuple.__new__
 
 
 class Claim(NamedTuple):
@@ -97,9 +106,7 @@ class RuleInstance(NamedTuple):
     def id(self) -> str:
         return f"r{self.index}"
 
-    @property
-    def schema_id(self) -> str:
-        return self.schema.id
+    schema_id = property(attrgetter("schema.id"), doc="The id of the schema applied.")
 
     def substitution(self) -> dict[str, str]:
         subst = {"x": self.x}
@@ -140,18 +147,19 @@ def trigger_rules(beliefs: Iterable[Belief]) -> tuple[RuleInstance, ...]:
         y = where("y") if "y" in first.vars else None
         labeled, pursued = first.kind is BeliefKind.INCOMPAT, schema.head_pursued
         for goals, belief in ordered[first.kind]:
-            body = [belief]
+            body = (belief,)
             for pick, table in tables:
                 hit = table.get(pick(goals))
                 if hit is None:
                     break
-                body.append(hit)
+                body += (hit,)
             else:
                 labels = belief.labels if labeled else None
                 key = (goals[head], pursued)
-                claim = claims.get(key) or claims.setdefault(key, Claim(*key))
-                instances.append(RuleInstance(schema, goals[x], None if y is None else goals[y],
-                                              labels, tuple(body), claim, len(instances) + 1))
+                claim = claims.get(key) or claims.setdefault(key, _new(Claim, key))
+                instances.append(_new(RuleInstance, (
+                    schema, goals[x], None if y is None else goals[y],
+                    labels, body, claim, len(instances) + 1)))
     return tuple(instances)
 
 
@@ -172,17 +180,10 @@ class ExplanatoryArgument(NamedTuple):
     def support(self) -> frozenset[SupportElement]:
         return frozenset((*self.instance.body, self.instance))
 
-    @property
-    def claim(self) -> Claim:
-        return self.instance.head
-
-    @property
-    def schema_id(self) -> str:
-        return self.instance.schema_id
-
-    @property
-    def decisive(self) -> bool:
-        return self.instance.schema.decisive
+    claim = property(attrgetter("instance.head"), doc="The instance's head.")
+    schema_id = property(attrgetter("instance.schema.id"), doc="The id of the schema applied.")
+    decisive = property(attrgetter("instance.schema.decisive"),
+                        doc="Whether the schema is a max-utility rule.")
 
     def __str__(self) -> str:
         parts = [b.id for b in self.instance.body] + [self.instance.id]
@@ -202,12 +203,13 @@ def construct_arguments(
     belief of this set.
     """
     known = set(beliefs)
-    out: list[ExplanatoryArgument] = []
-    for index, inst in enumerate(instances, 1):
-        if not known.issuperset(inst.body):
-            raise InputError(f"instance {inst.id} was not triggered from these beliefs")
-        out.append(ExplanatoryArgument(inst, index))
-    return tuple(out)
+    instances = tuple(instances)
+    # Every body at once, the common case; the first failing instance is
+    # looked for only when one fails.
+    if not known.issuperset(chain.from_iterable(map(_BODY, instances))):
+        inst = next(inst for inst in instances if not known.issuperset(inst.body))
+        raise InputError(f"instance {inst.id} was not triggered from these beliefs")
+    return tuple(map(_new, repeat(ExplanatoryArgument), zip(instances, count(1))))
 
 
 @dataclass(frozen=True)
@@ -244,6 +246,7 @@ class ExplanatoryAF:
 
 
 _INDEX = attrgetter("index")
+_BODY = attrgetter("body")
 
 
 def build_xaf(goal: str, arguments: Iterable[ExplanatoryArgument]) -> ExplanatoryAF:

@@ -79,17 +79,14 @@ def derive_goal_af(gaf: GeneralAF) -> GoalAF:
     A plan pair conflicts when an attack in either direction carries a
     label, as every attack of a valid framework does.
     """
-    goal_ids = tuple(sorted(g.id for g in gaf.goals))
-    plans: dict[str, list[str]] = {g: [] for g in goal_ids}
+    plans: dict[str, list[str]] = {g.id: [] for g in gaf.goals}
     for arg in gaf.args:
         if arg.claim in plans:
             plans[arg.claim].append(arg.id)
 
     get = gaf.attacks.get
     attacks: dict[tuple[str, str], frozenset[IncompatibilityKind]] = {}
-    for g, h in combinations(goal_ids, 2):
-        if not plans[g] or not plans[h]:
-            continue
+    for g, h in combinations(sorted(goal for goal, mine in plans.items() if mine), 2):
         met = set()  # the label sets seen, and None for an undeclared direction
         for a, b in product(plans[g], plans[h]):
             forward, backward = get((a, b)), get((b, a))
@@ -99,7 +96,9 @@ def derive_goal_af(gaf: GeneralAF) -> GoalAF:
             met.add(backward)
         else:
             met.discard(None)
-            attacks[(g, h)] = attacks[(h, g)] = frozenset().union(*met)
+            # One label set, the usual case, is kept as the object it is.
+            kinds = met.pop() if len(met) == 1 else frozenset().union(*met)
+            attacks[(g, h)] = attacks[(h, g)] = kinds
 
     return GoalAF({g.id: g.preference for g in gaf.goals}, attacks)
 

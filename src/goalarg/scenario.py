@@ -91,9 +91,17 @@ _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
 def _exact(text: str) -> Fraction:
-    """`Fraction(text)`, but an exponent past `MAX_DIGITS` raises up front:
-    such a value never prints, and `Fraction` would build 10**exp exactly
-    (seconds for "1e-9999999")."""
+    """`Fraction(text)`.  A plain decimal such as "-0.25", the usual JSON
+    literal, is read from its digits, without `Fraction`'s regex; while
+    they number at most `MAX_DIGITS`, `int` reads them as `Fraction` does.
+    Any other text goes to `Fraction`, but an exponent past `MAX_DIGITS`
+    raises up front: such a value never prints, and `Fraction` would build
+    10**exp exactly (seconds for "1e-9999999")."""
+    whole, _, places = text.partition(".")
+    number = whole + places
+    if (places.isdigit() and number.removeprefix("-").isdigit() and number.isascii()
+            and len(number) <= MAX_DIGITS):
+        return Fraction(int(number), 10 ** len(places))
     match = _EXPONENT.search(text)
     digits = match.group(1).replace("_", "").lstrip("0") if match else ""
     if len(digits) > 9 or int(digits or 0) > MAX_DIGITS:
@@ -248,15 +256,20 @@ def _one_plan_per_goal(
     own single plan, and each declared conflict holds in both directions."""
     goal_ids = {g.id for g in goals}
     attacks: dict[tuple[str, str], frozenset[IncompatibilityKind]] = {}
-    for (a, b), kinds in sorted(entries.items()):
-        for goal in (a, b):
-            if goal not in goal_ids:
-                raise ScenarioError(f"unknown goal {goal!r}", f"goal_attacks[({a}, {b})]")
-        if a == b:
-            raise ScenarioError("a goal cannot conflict with itself", f"goal_attacks[({a}, {b})]")
-        if entries.get((b, a), kinds) != kinds:
-            raise ScenarioError(f"kinds for ({a}, {b}) disagree with the reverse direction",
-                                f"goal_attacks[({a}, {b})]")
+    # Entries are checked in document order, and sorted only when one
+    # fails, to name the least faulty entry.
+    for (a, b), kinds in entries.items():
+        if a == b or a not in goal_ids or b not in goal_ids or entries.get((b, a), kinds) != kinds:
+            for (a, b), kinds in sorted(entries.items()):
+                for goal in (a, b):
+                    if goal not in goal_ids:
+                        raise ScenarioError(f"unknown goal {goal!r}", f"goal_attacks[({a}, {b})]")
+                if a == b:
+                    raise ScenarioError("a goal cannot conflict with itself",
+                                        f"goal_attacks[({a}, {b})]")
+                if entries.get((b, a), kinds) != kinds:
+                    raise ScenarioError(f"kinds for ({a}, {b}) disagree with the reverse direction",
+                                        f"goal_attacks[({a}, {b})]")
         attacks[(a, b)] = attacks[(b, a)] = kinds
     plans = tuple(InstrumentalArgDecl(g.id, g.id) for g in goals)
     return GeneralAF(goals, plans, attacks)

@@ -5,15 +5,18 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import bench_gen, cleaner_general_af, random_general_af, random_goal_af
+from conftest import (CLEANER_WORLD, bench_gen, cleaner_general_af, random_general_af,
+                      random_goal_af)
 from goalarg import (
     Belief,
     BeliefKind,
     Claim,
     ExplanationKind,
+    ExplanatoryArgument,
     InputError,
     QueryDirectionError,
     QueryKind,
+    RuleInstance,
     Semantics,
     apply_successful_attacks,
     build_explanation_model,
@@ -24,6 +27,7 @@ from goalarg import (
     extensions_of,
     generate_beliefs,
     kinds_from_letters,
+    load_scenario,
     parse_scenario,
     render_argument,
     require_valid,
@@ -505,6 +509,31 @@ def test_every_semantics_reads_the_grounded_extension_on_benchmark_documents(fam
             assert all(ids == [extension] for ids in found.values())
             af = AbstractAF.of((a.id for a in xaf.arguments), xaf.defeats)
             assert set(extension) == grounded_extension(af)
+
+
+@pytest.mark.parametrize("family", [None, "select-sparse", "explain-dense", "cli-mix"])
+def test_records_are_the_records_their_constructors_build(family):
+    # The pipeline builds records with tuple.__new__ and reads an argument's
+    # claim, decisive and schema_id through attrgetter: on the cleaner world
+    # (None) and on every seed-1 benchmark document, each record must be what
+    # its class's constructor builds from its fields.
+    if family is None:
+        models = [run_pipeline(load_scenario(CLEANER_WORLD)).model]
+    else:
+        models = [run_pipeline(parse_scenario(doc)).model
+                  for doc in bench_gen().family_docs(family, 1, 100)]
+    for model in models:
+        claims = [inst.head for inst in model.instances]
+        for cls, records in ((Belief, model.beliefs), (RuleInstance, model.instances),
+                             (ExplanatoryArgument, model.arguments), (Claim, claims)):
+            for r in records:
+                assert type(r) is cls
+                assert len(r) == len(cls._fields)
+                assert r == cls(*r)
+        for a in model.arguments:
+            assert a.claim == a.instance.head
+            assert a.decisive == a.instance.schema.decisive
+            assert a.schema_id == a.instance.schema.id == a.instance.schema_id
 
 
 def test_pooled_frameworks_match_af_core_under_every_semantics():

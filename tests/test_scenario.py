@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import CLEANER_WORLD
 from goalarg import (
@@ -18,6 +20,7 @@ from goalarg import (
     run_pipeline,
     validate,
 )
+from goalarg.scenario import _exact
 
 
 T = IncompatibilityKind.TERMINAL
@@ -47,6 +50,35 @@ def test_preference_accepts_fraction_strings(tmp_path):
     }
     scenario = load_scenario(write(tmp_path, doc))
     assert scenario.goals[0].preference == Fraction(1, 3)
+
+
+DIGITS = "0123456789"
+
+
+@st.composite
+def json_number_literals(draw):
+    """A JSON number literal: a sign, "0" or a nonzero whole part, 0-30
+    fraction digits, and an exponent with a sign and leading zeros."""
+    sign = draw(st.sampled_from(["", "-"]))
+    whole = draw(st.just("0") | st.builds(str.__add__, st.sampled_from(DIGITS[1:]),
+                                           st.text(DIGITS, max_size=20)))
+    places = draw(st.text(DIGITS, max_size=30))
+    text = sign + whole + ("." + places if places else "")
+    if draw(st.booleans()):
+        marker, exp_sign = draw(st.sampled_from("eE")), draw(st.sampled_from(["", "+", "-"]))
+        zeros, exponent = draw(st.text("0", max_size=3)), draw(st.integers(0, 400))
+        text += f"{marker}{exp_sign}{zeros}{exponent}"
+    return text
+
+
+@settings(max_examples=500)
+@given(json_number_literals())
+# Two 3,000-digit parts: `Fraction` reads each, though together they pass
+# the interpreter's 4,300-digit limit on converting one int.
+@example("3" * 3000 + "." + "7" * 3000)
+@example("-0.0")
+def test_number_literals_read_as_fraction_reads_them(text):
+    assert _exact(text) == Fraction(text)
 
 
 def test_explicit_main_goals_respected():
@@ -204,6 +236,16 @@ def test_schema_violations_carry_locations(mutate, location, fragment):
     assert fragment in str(err.value)
 
 
+def test_malformed_decimal_preference_is_refused():
+    # Digits and a point, but not a decimal: no fraction reads it.
+    doc = load_doc()
+    doc["goals"][0]["preference"] = ".-5"
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(doc)
+    assert err.value.location == "goals[0].preference"
+    assert "not a valid rational" in str(err.value)
+
+
 def goal_level_doc(*entries):
     goals = [{"id": g, "predicate": f"{g}()", "preference": 0.5} for g in ("a", "b", "c")]
     return {"goals": goals, "goal_attacks": list(entries)}
@@ -260,6 +302,16 @@ def surrogate(attacks, key):
          "attacks[0].kinds: unknown incompatibility kind {}"),
         (goal_level_doc({"from": "a", "to": "b", "kinds": "t"}),
          "goal_attacks[0].kinds: 'kinds' must be a nonempty list"),
+        # Two faulty entries, the greater listed first: the least is named.
+        (goal_level_doc({"from": "zz", "to": "a", "kinds": ["t"]},
+                        {"from": "b", "to": "yy", "kinds": ["t"]}),
+         "goal_attacks[(b, yy)]: unknown goal 'yy'"),
+        (goal_level_doc({"from": "c", "to": "c", "kinds": ["t"]},
+                        {"from": "b", "to": "b", "kinds": ["t"]}),
+         "goal_attacks[(b, b)]: a goal cannot conflict with itself"),
+        (goal_level_doc({"from": "c", "to": "b", "kinds": ["t"]},
+                        {"from": "b", "to": "c", "kinds": ["t", "s"]}),
+         "goal_attacks[(b, c)]: kinds for (b, c) disagree with the reverse direction"),
     ],
 )
 def test_attack_entry_faults_are_reported_verbatim(doc, message):
