@@ -27,8 +27,8 @@ _EXPORTS = {
                     " format_kinds format_rational kinds_from_letters require_valid validate",
     "pipeline": "RunReport report_to_dict run_pipeline",
     "render": "ExplanatorySentence export_dot render_argument render_partial_explanation",
-    "scenario": "RunConfig Scenario Semantics load_scenario parse_scenario",
-    "selection": "SelectionResult UtilityVariant select",
+    "scenario": "RunConfig Scenario Semantics UtilityVariant load_scenario parse_scenario",
+    "selection": "SelectionResult select",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_MODULE_OF)

@@ -4,8 +4,8 @@ One scenario file in, results on stdout; the pipeline is a deterministic
 function of its input, so there is no state beyond the files.  Exit status
 is 0 on success and 1 on any validation or query error, on an output
 closed before it was written and on running out of memory, with a
-diagnostic on stderr.  Each command imports the pipeline, explanation
-and rendering modules it runs, so `validate` loads none of them.
+diagnostic on stderr.  Each command imports the later stages it runs:
+`validate` loads none of them, `export --dot general` only the rendering.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from typing import TYPE_CHECKING, Any
 
 from .errors import GoalArgError, InputError
 from .instrumental import format_rational, require_valid, validate
-from .scenario import Scenario, Semantics, load_scenario
-from .selection import UtilityVariant
+from .scenario import Scenario, Semantics, UtilityVariant, load_scenario
 
 if TYPE_CHECKING:
     from .explain import Explanation
@@ -140,13 +139,14 @@ def _cmd_export(scenario: Scenario, args: argparse.Namespace) -> int:
     if stage == "xaf" and not args.goal:
         raise InputError("exporting an explanatory framework needs --goal")
 
-    from .explain import complete_explanation
-    from .pipeline import run_pipeline
     from .render import export_dot
 
     if stage == "general":
         sys.stdout.write(export_dot(require_valid(scenario.general)))
         return 0
+    from .explain import complete_explanation
+    from .pipeline import run_pipeline
+
     report = run_pipeline(scenario)
     names = scenario.names()
     if stage == "goals-raw":

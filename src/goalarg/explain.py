@@ -302,8 +302,7 @@ class Explanation:
     extensions: tuple[tuple[ExplanatoryArgument, ...], ...]
 
 
-@dataclass(frozen=True)
-class ExplanationModel:
+class ExplanationModel(NamedTuple):
     """Everything the query operations need, built once per deliberation."""
 
     gaf_sc: GoalAF

@@ -7,16 +7,17 @@ superfluity).  How those attacks are identified from a knowledge base is
 out of scope here; scenario authors state the labeled relation directly.
 Every label set is one of the eight in `LABEL_SETS`, the one place their
 spelling is decided; exact values print through `format_rational`.
+The records here are named tuples, compared as tuples, copied by `_replace`.
 """
 
 from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from .errors import ValidationError
 
@@ -80,8 +81,7 @@ def format_rational(value: Fraction) -> str:
     return f"{sign}{whole}.{str(frac).zfill(digits)}"
 
 
-@dataclass(frozen=True)
-class GoalDecl:
+class GoalDecl(NamedTuple):
     """A pursuable goal: opaque id, display predicate, preference in (0, 1]."""
 
     id: str
@@ -89,8 +89,7 @@ class GoalDecl:
     preference: Fraction
 
 
-@dataclass(frozen=True)
-class InstrumentalArgDecl:
+class InstrumentalArgDecl(NamedTuple):
     """A plan argument: which goal it achieves and its sub-plan arguments."""
 
     id: str
@@ -98,8 +97,7 @@ class InstrumentalArgDecl:
     sub_args: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class GeneralAF:
+class GeneralAF(NamedTuple):
     """Instrumental arguments plus the labeled attack relation between them.
 
     `attacks` maps each directed pair to its nonempty incompatibility label
@@ -111,8 +109,7 @@ class GeneralAF:
     attacks: Mapping[tuple[str, str], frozenset[IncompatibilityKind]]
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(NamedTuple):
     severity: str  # "error" | "warning"
     location: str
     message: str

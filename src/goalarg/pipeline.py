@@ -24,8 +24,8 @@ from .explain import (
 )
 from .goal_graph import GoalAF, apply_successful_attacks, derive_goal_af
 from .instrumental import LETTERS, GoalDecl, format_rational, require_valid
-from .scenario import RunConfig, Scenario, Semantics
-from .selection import SelectionResult, UtilityVariant, select
+from .scenario import RunConfig, Scenario, Semantics, UtilityVariant
+from .selection import SelectionResult, select
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,14 @@ documents.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InputError
-from .explain import Explanation, ExplanationKind, ExplanatoryAF, ExplanatoryArgument
-from .goal_graph import GoalAF
 from .instrumental import GeneralAF, format_kinds
+
+if TYPE_CHECKING:
+    from .explain import Explanation, ExplanatoryAF, ExplanatoryArgument
+    from .goal_graph import GoalAF
 
 
 SENTENCE_TEMPLATES: Mapping[str, str] = {
@@ -75,7 +77,8 @@ def render_partial_explanation(
     When a multi-extension semantics produced several extensions their
     sentence groups are concatenated in extension order.
     """
-    if explanation.kind is not ExplanationKind.PARTIAL:
+    # Read off the kind's own class: this module does not import `explain`.
+    if explanation.kind is not type(explanation.kind).PARTIAL:
         raise InputError(
             "complete explanations have no sentence form; export them as a graph "
             "(DOT) or as a structured document"
@@ -101,17 +104,18 @@ def export_dot(
     """Deterministic DOT text for a plan, goal or explanatory framework.
 
     Plans come in id order; goal graphs carry their conflict kinds as edge
-    labels; explanatory frameworks label each node with its claim.
+    labels; explanatory frameworks label each node with its claim.  Only
+    the plan level's module is imported, so a plan graph loads no later stage.
     """
-    if isinstance(af, GoalAF):
-        nodes = [(g, f"{g}: {names[g]}" if names and g in names else g) for g in af.goals]
-        edges = [(a, b, format_kinds(kinds)) for (a, b), kinds in sorted(af.attacks.items())]
-    elif isinstance(af, ExplanatoryAF):
-        nodes = [(arg.id, f"{arg.id}: {arg.claim}") for arg in af.arguments]
-        edges = [(a, b, None) for (a, b) in sorted(af.defeats)]
-    else:
+    if isinstance(af, GeneralAF):
         nodes = [(arg_id, None) for arg_id in sorted({arg.id for arg in af.args})]
         edges = [(a, b, None) for (a, b) in sorted(af.attacks)]
+    elif hasattr(af, "defeats"):  # an explanatory framework
+        nodes = [(arg.id, f"{arg.id}: {arg.claim}") for arg in af.arguments]
+        edges = [(a, b, None) for (a, b) in sorted(af.defeats)]
+    else:  # a goal graph
+        nodes = [(g, f"{g}: {names[g]}" if names and g in names else g) for g in af.goals]
+        edges = [(a, b, format_kinds(kinds)) for (a, b), kinds in sorted(af.attacks.items())]
     lines = ["digraph {"]
     lines += [f"  {_dot_quote(n)}{_dot_label(label)};" for n, label in nodes]
     lines += [f"  {_dot_quote(a)} -> {_dot_quote(b)}{_dot_label(label)};" for a, b, label in edges]

@@ -8,7 +8,8 @@ ids, with each declared conflict in both directions, so both kinds of
 document take the same route through the pipeline (`goalarg.pipeline`).
 Preferences are parsed as exact fractions ("0.8" means 4/5, never a
 float), so selection and all golden outputs are exact.  `config` may
-name the utility variant and the `Semantics` that reads explanations.
+name the `UtilityVariant` and the `Semantics` that reads explanations;
+both live here, so loading imports no later stage.  Records are named tuples.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ import json
 import math
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import ScenarioError
 from .instrumental import (
@@ -35,7 +35,14 @@ from .instrumental import (
     format_rational,
     kinds_from_letters,
 )
-from .selection import UtilityVariant
+
+
+class UtilityVariant(Enum):
+    """Which preferences a set's utility sums: every goal's, or the main
+    goals' only (sub-goals then count 0)."""
+
+    SUM_ALL = "sum_all"
+    SUM_MAIN = "sum_main"
 
 
 class Semantics(Enum):
@@ -47,15 +54,13 @@ class Semantics(Enum):
     STABLE = "stable"
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     utility: UtilityVariant = UtilityVariant.SUM_ALL
     semantics: Semantics = Semantics.GROUNDED
     tie_break: str = "lexicographic"
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """A loaded document: its plan level, which declares the goals, ready
     for the pipeline."""
 

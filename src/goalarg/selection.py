@@ -12,27 +12,19 @@ Utilities are exact rationals end to end: `af_core` scores sets by the
 goal graph's integer weights, with uncounted goals at 0, which order sets
 exactly as the rational sums do.  A count too long to print (2**n for n
 unconflicted goals, past about 14,280 of them) is refused, as preferences
-that cannot be printed are.
+that cannot be printed are.  `UtilityVariant` is imported from `scenario`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from . import af_core
 from .errors import InputError
 from .goal_graph import GoalAF
 from .instrumental import DIGITS_BOUND
-
-
-class UtilityVariant(Enum):
-    """Which preferences a set's utility sums: every goal's, or the main
-    goals' only (sub-goals then count 0)."""
-
-    SUM_ALL = "sum_all"
-    SUM_MAIN = "sum_main"
+from .scenario import UtilityVariant
 
 
 @dataclass(frozen=True)

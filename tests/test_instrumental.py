@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -193,21 +192,21 @@ def inject(rng, gaf, fault):
     one, other = (x.id for x in rng.sample(args, 2))
     labels = kinds_from_letters(rng.sample("trs", rng.randint(1, 3)))
     if fault == "duplicate goal id":
-        goals.append(replace(goals[g], predicate="again()"))
+        goals.append(goals[g]._replace(predicate="again()"))
     elif fault == "empty predicate":
-        goals[g] = replace(goals[g], predicate="")
+        goals[g] = goals[g]._replace(predicate="")
     elif fault == "preference out of range":
-        goals[g] = replace(goals[g], preference=rng.choice([Fraction(0), Fraction(-1, 2), Fraction(3, 2)]))
+        goals[g] = goals[g]._replace(preference=rng.choice([Fraction(0), Fraction(-1, 2), Fraction(3, 2)]))
     elif fault == "duplicate argument id":
-        args.append(replace(args[a], claim=rng.choice(goals).id))
+        args.append(args[a]._replace(claim=rng.choice(goals).id))
     elif fault == "unknown claim":
-        args[a] = replace(args[a], claim="nowhere")
+        args[a] = args[a]._replace(claim="nowhere")
     elif fault == "unknown sub-argument":
-        args[a] = replace(args[a], sub_args=args[a].sub_args + ("ghost",))
+        args[a] = args[a]._replace(sub_args=args[a].sub_args + ("ghost",))
     elif fault == "sub-argument cycle":
         ring = rng.sample(range(len(args)), rng.randint(1, min(3, len(args))))
         for here, there in zip(ring, ring[1:] + ring[:1]):
-            args[here] = replace(args[here], sub_args=(args[there].id,))
+            args[here] = args[here]._replace(sub_args=(args[there].id,))
     elif fault == "unknown attack endpoint":
         attacks[rng.choice([(one, "ghost"), ("ghost", one)])] = labels
     elif fault == "self-attack":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import os
+import pkgutil
 import subprocess
 import sys
 from importlib import import_module
@@ -80,6 +81,45 @@ def test_star_import_binds_every_name():
     assert all(namespace[name] is getattr(goalarg, name) for name in EXPORTS)
 
 
+# Each record that caches nothing and that no caller copies as a dataclass,
+# with its fields in the order the dataclass it replaced declared them.
+RECORD_FIELDS = {
+    "GoalDecl": ("id", "predicate", "preference"),
+    "InstrumentalArgDecl": ("id", "claim", "sub_args"),
+    "GeneralAF": ("goals", "args", "attacks"),
+    "ValidationIssue": ("severity", "location", "message"),
+    "RunConfig": ("utility", "semantics", "tie_break"),
+    "Scenario": ("general", "main_goals", "config"),
+    "ExplanationModel": ("gaf_sc", "selection", "beliefs", "instances", "arguments", "xafs"),
+}
+
+
+def test_records_keep_their_fields_defaults_and_reprs():
+    assert {name: getattr(goalarg, name)._fields for name in RECORD_FIELDS} == RECORD_FIELDS
+    assert goalarg.RunConfig() == (goalarg.UtilityVariant.SUM_ALL, goalarg.Semantics.GROUNDED,
+                                   "lexicographic")
+    assert goalarg.InstrumentalArgDecl("p", "g").sub_args == ()
+    scenario = goalarg.load_scenario(CLEANER_WORLD)
+    assert repr(scenario.goals[0]) == (
+        "GoalDecl(id='g1', predicate='clean(5,5)', preference=Fraction(4, 5))")
+    # Built by position, as the benchmark's replay builds them.
+    report = goalarg.run_pipeline(scenario)
+    for record in (report.config, report.model):
+        copy = type(record)(*record)
+        assert type(copy) is type(record)
+        assert all(a is b for a, b in zip(copy, record, strict=True))
+    variants = [import_module(f"goalarg.{m}").UtilityVariant for m in ("selection", "scenario")]
+    assert variants[0] is variants[1] is goalarg.UtilityVariant
+
+
+def test_the_only_dataclasses_are_records_that_cache_or_are_copied():
+    modules = [import_module(f"goalarg.{m.name}") for m in pkgutil.iter_modules(goalarg.__path__)]
+    found = sorted(name for module in modules for name, value in vars(module).items()
+                   if isinstance(value, type) and value.__module__ == module.__name__
+                   and "__dataclass_fields__" in vars(value))
+    assert found == ["Explanation", "ExplanatoryAF", "GoalAF", "RunReport", "SelectionResult"]
+
+
 def fresh_python(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     return subprocess.run(
@@ -105,14 +145,36 @@ def test_the_search_loads_only_its_errors():
         "['goalarg', 'goalarg.af_core', 'goalarg.errors']", "False"]
 
 
+def test_the_loader_loads_no_later_stage():
+    done = fresh_python("-c", f"import goalarg.scenario; {LOADED}")
+    assert done.returncode == 0, done.stderr
+    assert ast.literal_eval(done.stdout) == [
+        "goalarg", "goalarg.errors", "goalarg.instrumental", "goalarg.scenario"]
+
+
+# The two modules a dataclass needs, which cost the most to import.
+HEAVY = "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+
+
 def test_the_command_line_loads_no_pipeline_explanation_or_rendering():
     # Every command pays for these at start-up; a command that explains or
     # renders loads the rest itself.
-    done = fresh_python("-c", f"import goalarg.cli; {LOADED}")
+    done = fresh_python("-c", f"import goalarg.cli; {LOADED}; {HEAVY}")
     assert done.returncode == 0, done.stderr
-    assert ast.literal_eval(done.stdout) == [
-        "goalarg", "goalarg.af_core", "goalarg.cli", "goalarg.errors", "goalarg.goal_graph",
-        "goalarg.instrumental", "goalarg.scenario", "goalarg.selection"]
+    loaded, heavy = done.stdout.splitlines()
+    assert ast.literal_eval(loaded) == [
+        "goalarg", "goalarg.cli", "goalarg.errors", "goalarg.instrumental", "goalarg.scenario"]
+    assert heavy == "[]"
+
+
+@pytest.mark.parametrize("command", [["validate"], ["export", "--dot", "general"]],
+                         ids=["validate", "export-general"])
+def test_a_command_on_the_plan_level_loads_neither_dataclasses_nor_inspect(command):
+    run = f"import sys; from goalarg.cli import main; code = main(sys.argv[1:]); {HEAVY}"
+    argv = [command[0], str(CLEANER_WORLD), *command[1:]]
+    done = fresh_python("-c", f"{run}; sys.exit(code)", *argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_validate_runs_from_a_fresh_interpreter():
