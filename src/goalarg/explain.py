@@ -10,13 +10,16 @@ outcome, which is what actually decided the selection.  Each goal then
 gets its own framework whose extensions are the explanations.
 
 A complete explanation is the whole per-goal framework; a partial one is
-an extension of it.  Each framework pits pro against con arguments under
-one defeat rule, so `extensions_of` reads its extensions off the two
-sides in closed form.  Every goal gets one max_util or ¬max_util belief,
-so every pipeline framework has one decisive argument (r5 or r6),
-unattacked and defeating each opponent: under every semantics its one
-extension is the side that agrees with the selection, so a framework
-derives its defeat edges only when they are first read.
+an extension of it.  A framework is a named tuple of its arguments and
+their two sides, pro and con, each in index order; its defeats follow
+from the sides by one defeat rule and are derived on each read, never
+stored.  Every goal gets one max_util or ¬max_util belief, so every
+pipeline framework has one decisive argument (r5 or r6), unattacked and
+defeating each opponent: under every semantics its one extension is the
+side that holds it, which agrees with the selection.  `extensions_of`
+returns that side, and refuses a framework with no decisive argument or
+with decisive arguments on both sides; the closed form of their
+extensions is kept with the test oracles (`tests/oracles.py`).
 
 Claims, rule patterns, rule instances and arguments are immutable named
 tuples, and each compares and hashes as the tuple of its fields, ids
@@ -33,7 +36,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import chain, count, repeat
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
@@ -212,72 +214,58 @@ def construct_arguments(
     return tuple(map(_new, repeat(ExplanatoryArgument), zip(instances, count(1))))
 
 
-@dataclass(frozen=True)
-class ExplanatoryAF:
-    """One goal's framework: the arguments claiming it, split into sides
-    and defeats derived on first read."""
+class ExplanatoryAF(NamedTuple):
+    """One goal's framework: the arguments claiming it and the same
+    arguments split into the pro and the con side, all in index order."""
 
     arguments: tuple[ExplanatoryArgument, ...]
+    pro: tuple[ExplanatoryArgument, ...]
+    con: tuple[ExplanatoryArgument, ...]
 
-    @cached_property
-    def _sides(self) -> tuple[tuple[ExplanatoryArgument, ...], ...]:
-        """The pro and the con arguments, each ordered by index.  A pro and a
-        con argument with one id would defeat themselves, so that is refused
-        on every read, naming the least shared id as a string."""
-        pro: list[ExplanatoryArgument] = []
-        con: list[ExplanatoryArgument] = []
-        for a in sorted(self.arguments, key=_INDEX):
-            (pro if a.claim.pursued else con).append(a)
-        shared = set(map(_INDEX, pro)).intersection(map(_INDEX, con))
-        if shared:
-            least = min(a.id for a in con if a.index in shared)
-            raise InputError(f"self-attack on {least!r} is not allowed")
-        return tuple(pro), tuple(con)
-
-    @cached_property
+    @property
     def defeats(self) -> frozenset[tuple[str, str]]:
-        """The defeat rule: a pro and a con argument rebut each other, and each
-        rebuttal is a defeat, except that a non-decisive argument does not
-        defeat a decisive one.  So a max-utility argument defeats its
-        opponents one way, and any other rebuttal stays mutual."""
-        pro, con = self._sides
+        """The defeat rule, derived on each read: a pro and a con argument
+        rebut each other, and each rebuttal is a defeat, except that a
+        non-decisive argument does not defeat a decisive one.  So a
+        max-utility argument defeats its opponents one way, and any other
+        rebuttal stays mutual."""
+        pro, con = self.pro, self.con
         rebuttals = [(a, b) for a in pro for b in con] + [(b, a) for a in pro for b in con]
         return frozenset((a.id, b.id) for a, b in rebuttals if a.decisive or not b.decisive)
 
 
 _INDEX = attrgetter("index")
 _BODY = attrgetter("body")
+_DECISIVE = attrgetter("decisive")
 
 
 def build_xaf(goal: str, arguments: Iterable[ExplanatoryArgument]) -> ExplanatoryAF:
-    """Collect the goal's arguments into its framework; its defeats are
-    derived on first read (see `ExplanatoryAF.defeats`)."""
-    return ExplanatoryAF(tuple(a for a in arguments if a.claim.goal == goal))
+    """The framework of the arguments claiming `goal`, in index order and
+    split into sides.  A pro and a con argument with one id would defeat
+    themselves, so that is refused, naming the least shared id as a string."""
+    mine = tuple(sorted((a for a in arguments if a.claim.goal == goal), key=_INDEX))
+    pro = tuple(a for a in mine if a.claim.pursued)
+    con = tuple(a for a in mine if not a.claim.pursued)
+    shared = set(map(_INDEX, pro)).intersection(map(_INDEX, con))
+    if shared:
+        least = min(a.id for a in con if a.index in shared)
+        raise InputError(f"self-attack on {least!r} is not allowed")
+    return ExplanatoryAF(mine, pro, con)
 
 
 def extensions_of(
     xaf: ExplanatoryAF, semantics: Semantics
 ) -> tuple[tuple[ExplanatoryArgument, ...], ...]:
-    """Read the framework's extensions off its two sides, ordered by index.
-
-    Under the defeat rule, decisive arguments that all claim one
-    polarity (as in every pipeline framework) are unattacked and defeat
-    every opponent, so that side is the one extension under every
-    semantics.  With one side empty nothing is attacked, so the other side
-    is.  Otherwise every argument is defeated from the other side and each
-    whole side defeats all of the other: grounded yields the empty set,
-    complete the empty set and both sides, preferred and stable both sides.
-    """
-    pro, con = xaf._sides
-    decisive = {a.claim.pursued for a in xaf.arguments if a.decisive}
-    if len(decisive) == 1:
-        return (pro if True in decisive else con,)
-    if not pro or not con:
-        return (pro or con,)
-    both = tuple(sorted((pro, con), key=lambda ext: [a.index for a in ext]))
-    if semantics is Semantics.GROUNDED:
-        return ((),)
-    return ((), *both) if semantics is Semantics.COMPLETE else both
+    """The framework's one extension under every semantics: the side that
+    holds its decisive arguments, which are then unattacked and defeat
+    every opponent.  A framework with no decisive argument, or with
+    decisive arguments on both sides, has extensions that depend on the
+    semantics, and is refused."""
+    pro_decides = any(map(_DECISIVE, xaf.pro))
+    if pro_decides is any(map(_DECISIVE, xaf.con)):
+        held = "decisive arguments on both sides" if pro_decides else "no decisive argument"
+        raise InputError(f"the framework holds {held}, so its extensions depend on the semantics")
+    return (xaf.pro if pro_decides else xaf.con,)
 
 
 class QueryKind(Enum):
@@ -319,10 +307,16 @@ def build_explanation_model(gaf_sc: GoalAF, selection: SelectionResult) -> Expla
     beliefs = generate_beliefs(gaf_sc, selection)
     instances = trigger_rules(beliefs)
     arguments = construct_arguments(beliefs, instances)
-    by_goal: dict[str, list[ExplanatoryArgument]] = {g: [] for g in gaf_sc.goals}
+    # Each goal's arguments, pro side and con side, all in index order as
+    # `arguments` is.
+    fields: dict[str, tuple[list[ExplanatoryArgument], ...]] = {
+        g: ([], [], []) for g in gaf_sc.goals}
     for a in arguments:
-        by_goal[a.claim.goal].append(a)
-    xafs = {g: ExplanatoryAF(tuple(mine)) for g, mine in by_goal.items()}
+        claim = a.claim
+        mine = fields[claim.goal]
+        mine[0].append(a)
+        mine[1 if claim.pursued else 2].append(a)
+    xafs = {g: _new(ExplanatoryAF, tuple(map(tuple, mine))) for g, mine in fields.items()}
     return ExplanationModel(gaf_sc, selection, beliefs, instances, arguments, xafs)
 
 

@@ -7,16 +7,16 @@ symmetry: an attack survives filtering only if its source is at least as
 preferred as its target, so strictly dominated directions disappear while
 equal-preference pairs keep both.  Filtering a filtered graph changes
 nothing, and selection reads only which pairs conflict, so it answers the
-same on a raw graph as on its filtered one.
+same on a raw graph as on its filtered one.  The pipeline reads every
+graph's sorted goals and integer weights, so a `GoalAF` computes them
+once, when it is built.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Collection, Iterable, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, combinations, product, starmap
 from operator import eq
 
@@ -39,7 +39,6 @@ def check_attacks(nodes: Iterable[str], attacks: Collection[tuple[str, str]]) ->
             raise InputError(f"self-attack on {attacker!r} is not allowed")
 
 
-@dataclass(frozen=True)
 class GoalAF:
     """Goal preferences and goal-level attacks with their conflict kinds.
 
@@ -51,23 +50,16 @@ class GoalAF:
     denominators: integers that compare and add as the preferences do.
     """
 
-    pref: Mapping[str, Fraction]
-    attacks: Mapping[tuple[str, str], frozenset[IncompatibilityKind]]
+    __slots__ = ("pref", "attacks", "goals", "scale", "weights")
 
-    def __post_init__(self) -> None:
-        check_attacks(self.goals, self.attacks.keys())
-
-    @cached_property
-    def goals(self) -> tuple[str, ...]:
-        return tuple(sorted(self.pref))
-
-    @cached_property
-    def scale(self) -> int:
-        return math.lcm(*(p.denominator for p in self.pref.values()))
-
-    @cached_property
-    def weights(self) -> dict[str, int]:
-        return {g: p.numerator * (self.scale // p.denominator) for g, p in self.pref.items()}
+    def __init__(self, pref: Mapping[str, Fraction],
+                 attacks: Mapping[tuple[str, str], frozenset[IncompatibilityKind]]) -> None:
+        self.pref = pref
+        self.attacks = attacks
+        self.goals = tuple(sorted(pref))
+        check_attacks(self.goals, attacks.keys())
+        self.scale = math.lcm(*(p.denominator for p in pref.values()))
+        self.weights = {g: p.numerator * (self.scale // p.denominator) for g, p in pref.items()}
 
 
 def derive_goal_af(gaf: GeneralAF) -> GoalAF:

@@ -4,8 +4,10 @@ The reference semantics come first: the conflict-free, admissible,
 complete, grounded, preferred and stable extensions of an `AbstractAF`,
 the plain attack graph defined here, over the library's pruned
 conflict-free search and an attacker index built once per call.  The
-library runs none of them; it reads its explanatory frameworks in
-closed form, and the tests check those readings against these.
+library runs none of them: it reads each pipeline framework's one
+extension off the side that holds its decisive argument.  The closed
+form for every two-sided framework, `two_sided_extensions`, follows
+them, and the tests check both readings against them.
 
 Everything after them is written straight from the definitions.  The
 `*_brute` functions enumerate all subsets and apply the defining
@@ -19,7 +21,7 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 from typing import NamedTuple
 
-from goalarg import SCHEMAS, Claim, InputError, RuleInstance
+from goalarg import SCHEMAS, Claim, InputError, RuleInstance, Semantics
 from goalarg.af_core import max_weight_conflict_free
 from goalarg.goal_graph import check_attacks
 
@@ -118,6 +120,30 @@ def stable_extensions(af):
         s for s in conflict_free_sets(af)
         if all(not attackers[n].isdisjoint(s) for n in af.nodes if n not in s)
     ]
+
+
+def two_sided_extensions(xaf, semantics):
+    """An explanatory framework's extensions read off its two sides, each
+    ordered by argument index.
+
+    Under the defeat rule, decisive arguments that all claim one polarity
+    are unattacked and defeat every opponent, so that side is the one
+    extension under every semantics.  With one side empty nothing is
+    attacked, so the other side is.  Otherwise every argument is defeated
+    from the other side and each whole side defeats all of the other:
+    grounded yields the empty set, complete the empty set and both sides,
+    preferred and stable both sides.
+    """
+    pro, con = xaf.pro, xaf.con
+    decisive = {a.claim.pursued for a in xaf.arguments if a.decisive}
+    if len(decisive) == 1:
+        return (pro if True in decisive else con,)
+    if not pro or not con:
+        return (pro or con,)
+    both = tuple(sorted((pro, con), key=lambda ext: [a.index for a in ext]))
+    if semantics is Semantics.GROUNDED:
+        return ((),)
+    return ((), *both) if semantics is Semantics.COMPLETE else both
 
 
 def powerset(nodes):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from functools import cache
 
 import pytest
 
@@ -12,6 +13,7 @@ from goalarg import (
     BeliefKind,
     Claim,
     ExplanationKind,
+    ExplanatoryAF,
     ExplanatoryArgument,
     InputError,
     QueryDirectionError,
@@ -49,6 +51,7 @@ from oracles import (
     rebuts,
     stable_extensions,
     trigger_brute,
+    two_sided_extensions,
 )
 
 
@@ -318,10 +321,14 @@ def test_xaf_for_uncontested_goals(cleaner_model):
 
 
 def test_build_xaf_empty_goal(cleaner_model):
+    # An empty framework holds no decisive argument: extensions_of refuses
+    # it, and the closed form gives it the empty extension.
     xaf = build_xaf("unclaimed", cleaner_model.arguments)
-    assert xaf.arguments == ()
+    assert xaf == ExplanatoryAF((), (), ())
     assert xaf.defeats == frozenset()
-    assert extensions_of(xaf, Semantics.GROUNDED) == ((),)
+    assert two_sided_extensions(xaf, Semantics.GROUNDED) == ((),)
+    assert_closed_form_is_the_reference(xaf)
+    assert_read_where_one_side_decides(xaf)
 
 
 def test_why_partial_answers(cleaner_model):
@@ -410,14 +417,18 @@ def test_multi_extension_semantics_on_symmetric_rebuttal():
     )
     instances = trigger_rules(beliefs)
     arguments = construct_arguments(beliefs, instances)
+    # Neither is decisive, so extensions_of refuses the framework and the
+    # closed form of the oracles reads it.
     xaf = build_xaf("b", arguments)
     assert len(xaf.arguments) == 2
-    assert extensions_of(xaf, Semantics.GROUNDED) == ((),)
-    preferred = extensions_of(xaf, Semantics.PREFERRED)
+    assert two_sided_extensions(xaf, Semantics.GROUNDED) == ((),)
+    preferred = two_sided_extensions(xaf, Semantics.PREFERRED)
     assert len(preferred) == 2
-    assert extensions_of(xaf, Semantics.STABLE) == preferred
-    complete = extensions_of(xaf, Semantics.COMPLETE)
+    assert two_sided_extensions(xaf, Semantics.STABLE) == preferred
+    complete = two_sided_extensions(xaf, Semantics.COMPLETE)
     assert len(complete) == 3  # empty set plus the two singletons
+    assert_closed_form_is_the_reference(xaf)
+    assert_read_where_one_side_decides(xaf)
 
 
 def test_pipeline_coherence_on_random_scenarios():
@@ -448,8 +459,9 @@ def test_defeat_edges_connect_rebutting_pairs_only():
 
 
 def test_pipeline_leaves_defeats_underived():
-    # Deciding never needs the defeat edges: run_pipeline leaves them
-    # unbuilt, and a later read still yields the defeat rule's edges.
+    # Deciding never needs the defeat edges: a pipeline framework stores its
+    # arguments and its two sides only, and each read of `defeats` yields
+    # the defeat rule's edges.
     rng = random.Random(43)
     for _ in range(20):
         ids = [f"g{i}" for i in range(rng.randint(4, 10))]
@@ -460,13 +472,12 @@ def test_pipeline_leaves_defeats_underived():
                              for i, a in enumerate(ids) for b in ids[i + 1:]
                              if rng.random() < 0.8],
         }
-        xafs = run_pipeline(parse_scenario(doc)).model.xafs.values()
-        assert all("defeats" not in vars(xaf) for xaf in xafs)
-        for xaf in xafs:
+        for xaf in run_pipeline(parse_scenario(doc)).model.xafs.values():
+            assert (xaf._fields, len(xaf)) == (("arguments", "pro", "con"), 3)
+            assert not hasattr(xaf, "__dict__")
             assert xaf.defeats == {
                 (a.id, b.id) for a in xaf.arguments for b in xaf.arguments if defeats(a, b)
             }
-            assert "defeats" in vars(xaf)
 
 
 REFERENCE_SEMANTICS = {
@@ -497,12 +508,22 @@ def test_pipeline_extensions_match_af_core_under_every_semantics():
                     assert [a.index for a in ext] == sorted(a.index for a in ext)
 
 
+@cache
+def pipeline_models(family):
+    """The cleaner world's model (family None), or those of every seed-1
+    document of a benchmark workload, built once for the tests below."""
+    if family is None:
+        return (run_pipeline(load_scenario(CLEANER_WORLD)).model,)
+    return tuple(run_pipeline(parse_scenario(doc)).model
+                 for doc in bench_gen().family_docs(family, 1, 100))
+
+
 @pytest.mark.parametrize("family", ["select-sparse", "explain-dense", "cli-mix"])
 def test_every_semantics_reads_the_grounded_extension_on_benchmark_documents(family):
     # Each framework of the benchmark's seed-1 documents has one decisive
     # argument, so all four semantics give one extension: the grounded one.
-    for doc in bench_gen().family_docs(family, 1, 100):
-        for xaf in run_pipeline(parse_scenario(doc)).model.xafs.values():
+    for model in pipeline_models(family):
+        for xaf in model.xafs.values():
             found = {s: [[a.id for a in ext] for ext in extensions_of(xaf, s)]
                      for s in Semantics}
             (extension,) = found[Semantics.GROUNDED]
@@ -517,12 +538,7 @@ def test_records_are_the_records_their_constructors_build(family):
     # claim, decisive and schema_id through attrgetter: on the cleaner world
     # (None) and on every seed-1 benchmark document, each record must be what
     # its class's constructor builds from its fields.
-    if family is None:
-        models = [run_pipeline(load_scenario(CLEANER_WORLD)).model]
-    else:
-        models = [run_pipeline(parse_scenario(doc)).model
-                  for doc in bench_gen().family_docs(family, 1, 100)]
-    for model in models:
+    for model in pipeline_models(family):
         claims = [inst.head for inst in model.instances]
         for cls, records in ((Belief, model.beliefs), (RuleInstance, model.instances),
                              (ExplanatoryArgument, model.arguments), (Claim, claims)):
@@ -536,13 +552,65 @@ def test_records_are_the_records_their_constructors_build(family):
             assert a.schema_id == a.instance.schema.id == a.instance.schema_id
 
 
+@pytest.mark.parametrize("family", [None, "select-sparse", "explain-dense", "cli-mix"])
+def test_each_framework_is_its_two_sides(family):
+    # The pipeline splits each goal's arguments by claim as it groups them:
+    # on the cleaner world and every seed-1 benchmark document, each side is
+    # in index order, exactly one side holds the one decisive argument, and
+    # that side, which agrees with the selection, is the one extension under
+    # every semantics.
+    for model in pipeline_models(family):
+        for goal, xaf in model.xafs.items():
+            assert type(xaf) is ExplanatoryAF
+            assert xaf == ExplanatoryAF(*xaf)
+            assert xaf == build_xaf(goal, model.arguments)
+            assert list(xaf.arguments) == sorted(xaf.arguments, key=lambda a: a.index)
+            assert xaf.pro == tuple(a for a in xaf.arguments if a.claim.pursued)
+            assert xaf.con == tuple(a for a in xaf.arguments if not a.claim.pursued)
+            assert {a.claim.goal for a in xaf.arguments} == {goal}
+            (decisive,) = (a for a in xaf.arguments if a.decisive)
+            holding = [side for side in (xaf.pro, xaf.con) if decisive in side]
+            assert len(holding) == 1
+            (side,) = holding
+            assert decisive.claim.pursued == (goal in model.selection.pursued)
+            for semantics in Semantics:
+                assert extensions_of(xaf, semantics) == (side,)
+
+
+def assert_closed_form_is_the_reference(xaf):
+    """The oracles' closed form gives the reference semantics' extensions,
+    each ordered by argument index and the extensions by their index lists.
+    The reference orders extensions by id, so they are compared as sets."""
+    af = AbstractAF.of((a.id for a in xaf.arguments), xaf.defeats)
+    for semantics, evaluate in REFERENCE_SEMANTICS.items():
+        got = two_sided_extensions(xaf, semantics)
+        expected = evaluate(af)
+        assert len(got) == len(expected)
+        assert {frozenset(a.id for a in ext) for ext in got} == set(expected)
+        assert list(got) == sorted(got, key=lambda ext: [a.index for a in ext])
+        for ext in got:
+            assert [a.index for a in ext] == sorted(a.index for a in ext)
+
+
+def assert_read_where_one_side_decides(xaf, semantics_asked=tuple(Semantics)):
+    """extensions_of gives the closed form's one extension when decisive
+    arguments sit on one side only, and refuses any other framework."""
+    decisive = {a.claim.pursued for a in xaf.arguments if a.decisive}
+    for semantics in semantics_asked:
+        if len(decisive) == 1:
+            assert extensions_of(xaf, semantics) == two_sided_extensions(xaf, semantics)
+        else:
+            held = "decisive arguments on both sides" if decisive else "no decisive argument"
+            with pytest.raises(InputError, match=f"^the framework holds {held},"):
+                extensions_of(xaf, semantics)
+
+
 def test_pooled_frameworks_match_af_core_under_every_semantics():
     # One goal's arguments pooled from two models whose selections differ
     # (the second re-indexed), then random subsets: decisive arguments fall
-    # on one side, on both sides or on neither, so extensions_of takes its
-    # direct reading as well as the reference evaluation.  The reference
-    # orders extensions by id and extensions_of by argument index, so the
-    # answers are compared as sets.
+    # on one side, on both sides or on neither.  The closed form of the
+    # oracles matches the reference evaluation on each, and extensions_of
+    # reads the first kind and refuses the other two.
     rng = random.Random(41)
     sides_seen = set()
     for _ in range(30):
@@ -559,15 +627,8 @@ def test_pooled_frameworks_match_af_core_under_every_semantics():
             for _ in range(8):
                 xaf = build_xaf(goal, rng.sample(pool, rng.randint(0, len(pool))))
                 sides_seen.add(len({a.claim.pursued for a in xaf.arguments if a.decisive}))
-                af = AbstractAF.of((a.id for a in xaf.arguments), xaf.defeats)
-                for semantics, evaluate in REFERENCE_SEMANTICS.items():
-                    got = extensions_of(xaf, semantics)
-                    expected = evaluate(af)
-                    assert len(got) == len(expected)
-                    assert {frozenset(a.id for a in ext) for ext in got} == set(expected)
-                    assert list(got) == sorted(got, key=lambda ext: [a.index for a in ext])
-                    for ext in got:
-                        assert [a.index for a in ext] == sorted(a.index for a in ext)
+                assert_closed_form_is_the_reference(xaf)
+                assert_read_where_one_side_decides(xaf)
     assert sides_seen == {0, 1, 2}
 
 
@@ -585,40 +646,51 @@ def contested_xaf(n):
 
 
 def test_a_contested_framework_is_read_off_its_two_sides():
+    # With no decisive argument, extensions_of refuses the framework and the
+    # closed form of the oracles reads it.  At 40 a side it has 2^41
+    # conflict-free sets, too many for the reference, which checks the same
+    # shape at 1 to 4 a side.
     xaf = contested_xaf(40)
     pro, con = xaf.arguments[:40], xaf.arguments[40:]
+    assert (xaf.pro, xaf.con) == (pro, con)
     assert {a.claim.pursued for a in pro} == {True} and {a.claim.pursued for a in con} == {False}
-    assert extensions_of(xaf, Semantics.GROUNDED) == ((),)
-    assert extensions_of(xaf, Semantics.COMPLETE) == ((), pro, con)
-    assert extensions_of(xaf, Semantics.PREFERRED) == (pro, con)
-    assert extensions_of(xaf, Semantics.STABLE) == (pro, con)
+    assert two_sided_extensions(xaf, Semantics.GROUNDED) == ((),)
+    assert two_sided_extensions(xaf, Semantics.COMPLETE) == ((), pro, con)
+    assert two_sided_extensions(xaf, Semantics.PREFERRED) == (pro, con)
+    assert two_sided_extensions(xaf, Semantics.STABLE) == (pro, con)
+    assert_read_where_one_side_decides(xaf)
+    for n in range(1, 5):
+        assert_closed_form_is_the_reference(contested_xaf(n))
 
 
 def contested_with_shared_ids():
     # No side holds a decisive argument, and two con arguments take the ids
     # of pro arguments A9 and A10: the least shared id, as a string, is named.
-    xaf = contested_xaf(10)
-    con = [a._replace(index=i) for a, i in zip(xaf.arguments[10:], [9, 10])]
-    return replace(xaf, arguments=xaf.arguments[:10] + tuple(con) + xaf.arguments[12:]), "A10"
+    arguments = contested_xaf(10).arguments
+    con = [a._replace(index=i) for a, i in zip(arguments[10:], [9, 10])]
+    return "g", arguments[:10] + tuple(con) + arguments[12:], arguments, "A10"
 
 
 def cleaner_g2_with_shared_id():
     # Only the con side (A8, decisive A13) holds a decisive argument, and
     # the pro argument A3 takes the id A13.
     filtered = apply_successful_attacks(derive_goal_af(cleaner_general_af()))
-    xaf = build_explanation_model(filtered, select(filtered)).xafs["g2"]
-    assert [(a.id, a.claim.pursued, a.decisive) for a in xaf.arguments] == [
+    arguments = build_explanation_model(filtered, select(filtered)).xafs["g2"].arguments
+    assert [(a.id, a.claim.pursued, a.decisive) for a in arguments] == [
         ("A3", True, False), ("A8", False, False), ("A13", False, True)]
-    extensions_of(xaf, Semantics.GROUNDED)  # splits xaf; its copy below splits afresh
-    moved = tuple(a._replace(index=13) if a.claim.pursued else a for a in xaf.arguments)
-    return replace(xaf, arguments=moved), "A13"
+    moved = tuple(a._replace(index=13) if a.claim.pursued else a for a in arguments)
+    return "g2", moved, arguments, "A13"
 
 
 @pytest.mark.parametrize("semantics", list(Semantics))
 def test_a_pro_and_a_con_argument_sharing_an_id_are_rejected(semantics):
-    for shared, least in (contested_with_shared_ids(), cleaner_g2_with_shared_id()):
+    # build_xaf refuses the clash, in whatever order the arguments come,
+    # before any semantics is asked for; the same arguments without it build
+    # a framework that extensions_of reads, or refuses, as for any other.
+    for goal, shared, unshared, least in (contested_with_shared_ids(),
+                                          cleaner_g2_with_shared_id()):
         message = rf"^self-attack on '{least}' is not allowed$"
-        with pytest.raises(InputError, match=message):
-            extensions_of(shared, semantics)
-        with pytest.raises(InputError, match=message):
-            shared.defeats
+        for arguments in (shared, shared[::-1]):
+            with pytest.raises(InputError, match=message):
+                build_xaf(goal, arguments)
+        assert_read_where_one_side_decides(build_xaf(goal, unshared), [semantics])

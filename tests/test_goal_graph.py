@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -126,7 +127,9 @@ def test_filtering_is_idempotent():
     rng = random.Random(29)
     for _ in range(100):
         filtered = apply_successful_attacks(random_goal_af(rng, max_goals=10))
-        assert apply_successful_attacks(filtered) == filtered
+        again = apply_successful_attacks(filtered)
+        # A graph compares by identity, so its two fields are compared.
+        assert (again.pref, again.attacks) == (filtered.pref, filtered.attacks)
 
 
 @pytest.mark.parametrize("pairs, message", [
@@ -167,3 +170,20 @@ def test_filtering_invariant_under_monotone_rescaling():
             apply_successful_attacks(raw).attacks
             == apply_successful_attacks(halved).attacks
         )
+
+
+def test_goals_scale_and_weights_are_what_their_definitions_give():
+    # A graph computes them once, when built: its sorted goals, the LCM of
+    # the preferences' denominators, and each preference times that LCM.
+    rng = random.Random(53)
+    for _ in range(100):
+        raw = random_goal_af(rng, max_goals=12)
+        ids = rng.sample(raw.goals, len(raw.goals))
+        pref = {g: Fraction(rng.randint(0, 60), rng.randint(1, 60)) for g in ids}
+        for gaf in (GoalAF(pref, raw.attacks), apply_successful_attacks(GoalAF(pref, raw.attacks))):
+            scale = math.lcm(*(p.denominator for p in pref.values()))
+            assert gaf.goals == tuple(sorted(pref))
+            assert gaf.scale == scale
+            assert gaf.weights == {g: p.numerator * scale // p.denominator
+                                   for g, p in pref.items()}
+            assert not hasattr(gaf, "__dict__")
