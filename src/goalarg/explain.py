@@ -21,7 +21,7 @@ returns that side, and refuses a framework with no decisive argument or
 with decisive arguments on both sides; the closed form of their
 extensions is kept with the test oracles (`tests/oracles.py`).
 
-Claims, rule patterns, rule instances and arguments are immutable named
+Claims, rules, rule instances and arguments are immutable named
 tuples, and each compares and hashes as the tuple of its fields, ids
 included.  The pipeline builds claims, instances and arguments with
 `tuple.__new__(Cls, fields)`, as `Cls._make` does, without the Python
@@ -37,7 +37,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, count, repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import NamedTuple
 
 from .belief_gen import Belief, BeliefKind, generate_beliefs
@@ -61,34 +61,23 @@ class Claim(NamedTuple):
         return f"pursued({self.goal})" if self.pursued else f"¬pursued({self.goal})"
 
 
-class AtomPattern(NamedTuple):
-    """One body atom of a schema: belief kind plus positional variables."""
-
-    kind: BeliefKind
-    vars: tuple[str, ...]
-
-
 class RuleSchema(NamedTuple):
-    """A rule template.  `decisive` marks the max-utility rules, whose
-    arguments defeat (rather than merely rebut) their opponents."""
+    """One of the six rules: its id, the polarity of its head, and whether
+    it is a max-utility rule, whose arguments defeat (rather than merely
+    rebut) their opponents.  `trigger_rules` reads the bodies."""
 
     id: str
-    body: tuple[AtomPattern, ...]
-    head_var: str
     head_pursued: bool
     decisive: bool = False
 
 
-# r2-r4 open with the conflict between x and y; its belief carries the labels.
-_INCOMPAT_XY = AtomPattern(BeliefKind.INCOMPAT, ("x", "y"))
-
 SCHEMAS: tuple[RuleSchema, ...] = (
-    RuleSchema("r1", (AtomPattern(BeliefKind.NOT_INCOMP, ("x",)),), "x", True),
-    RuleSchema("r2", (_INCOMPAT_XY, AtomPattern(BeliefKind.PREF, ("x", "y"))), "x", True),
-    RuleSchema("r3", (_INCOMPAT_XY, AtomPattern(BeliefKind.NOT_PREF, ("y", "x"))), "y", False),
-    RuleSchema("r4", (_INCOMPAT_XY, AtomPattern(BeliefKind.EQ_PREF, ("x", "y"))), "x", True),
-    RuleSchema("r5", (AtomPattern(BeliefKind.MAX_UTIL, ("x",)),), "x", True, decisive=True),
-    RuleSchema("r6", (AtomPattern(BeliefKind.NOT_MAX_UTIL, ("x",)),), "x", False, decisive=True),
+    RuleSchema("r1", True),                  # ¬incomp(x) → pursued(x)
+    RuleSchema("r2", True),                  # incompat(x,y,ls) ∧ pref(x,y) → pursued(x)
+    RuleSchema("r3", False),                 # incompat(x,y,ls) ∧ ¬pref(y,x) → ¬pursued(y)
+    RuleSchema("r4", True),                  # incompat(x,y,ls) ∧ eq_pref(x,y) → pursued(x)
+    RuleSchema("r5", True, decisive=True),   # max_util(x) → pursued(x)
+    RuleSchema("r6", False, decisive=True),  # ¬max_util(x) → ¬pursued(x)
 )
 
 
@@ -124,44 +113,40 @@ class RuleInstance(NamedTuple):
 
 
 def trigger_rules(beliefs: Iterable[Belief]) -> tuple[RuleInstance, ...]:
-    """Fire every schema whose body unifies with the belief set.
+    """Fire the six rules on the belief set.
 
-    Each belief of a schema's first body kind yields at most one instance,
-    whose later atoms and head are read by position off that belief's goals;
-    numbering is by schema order, then by the sorted goals of that first
-    body belief, so runs are stable.
+    r1, r5 and r6 fire on each ¬incomp, max_util and ¬max_util belief;
+    r2, r3 and r4 on each incompat(x, y) belief joined by pref(x, y),
+    ¬pref(y, x) or eq_pref(x, y), whose labels, x and y the instance
+    keeps.  A later belief of the same kind and goals replaces an earlier
+    one.  Numbering is by rule, then by the sorted goals of the belief the
+    rule opens with, so runs are stable.
     """
     by_kind: dict[BeliefKind, dict[tuple[str, ...], Belief]] = {kind: {} for kind in BeliefKind}
     for b in beliefs:
         by_kind[b.kind][b.goals] = b
-    # Only the tables a schema opens with are walked, so only they are sorted.
-    opening = {schema.body[0].kind for schema in SCHEMAS}
-    ordered = {kind: sorted(by_kind[kind].items()) for kind in opening}
+    pref, not_pref, eq_pref = (by_kind[k] for k in (
+        BeliefKind.PREF, BeliefKind.NOT_PREF, BeliefKind.EQ_PREF))
+    # Each rule's firings as (x, y, labels, body, head goal), in order.
+    r2, r3, r4 = [], [], []
+    for (x, y), inc in sorted(by_kind[BeliefKind.INCOMPAT].items()):
+        if (hit := pref.get((x, y))) is not None:
+            r2.append((x, y, inc.labels, (inc, hit), x))
+        if (hit := not_pref.get((y, x))) is not None:
+            r3.append((x, y, inc.labels, (inc, hit), y))
+        if (hit := eq_pref.get((x, y))) is not None:
+            r4.append((x, y, inc.labels, (inc, hit), x))
+    r1, r5, r6 = ([(x, None, None, (b,), x) for (x,), b in sorted(by_kind[k].items())]
+                  for k in (BeliefKind.NOT_INCOMP, BeliefKind.MAX_UTIL, BeliefKind.NOT_MAX_UTIL))
 
     claims: dict[tuple[str, bool], Claim] = {}
     instances: list[RuleInstance] = []
-    for schema in SCHEMAS:
-        first, *rest = schema.body
-        where = first.vars.index
-        # Later atoms (r2-r4 have one) bind two variables: itemgetter yields a key tuple.
-        tables = [(itemgetter(*map(where, atom.vars)), by_kind[atom.kind]) for atom in rest]
-        x, head = where("x"), where(schema.head_var)
-        y = where("y") if "y" in first.vars else None
-        labeled, pursued = first.kind is BeliefKind.INCOMPAT, schema.head_pursued
-        for goals, belief in ordered[first.kind]:
-            body = (belief,)
-            for pick, table in tables:
-                hit = table.get(pick(goals))
-                if hit is None:
-                    break
-                body += (hit,)
-            else:
-                labels = belief.labels if labeled else None
-                key = (goals[head], pursued)
-                claim = claims.get(key) or claims.setdefault(key, _new(Claim, key))
-                instances.append(_new(RuleInstance, (
-                    schema, goals[x], None if y is None else goals[y],
-                    labels, body, claim, len(instances) + 1)))
+    for schema, fired in zip(SCHEMAS, (r1, r2, r3, r4, r5, r6)):
+        for x, y, labels, body, head in fired:
+            key = (head, schema.head_pursued)
+            claim = claims.get(key) or claims.setdefault(key, _new(Claim, key))
+            instances.append(_new(RuleInstance, (
+                schema, x, y, labels, body, claim, len(instances) + 1)))
     return tuple(instances)
 
 

@@ -247,6 +247,22 @@ def test_conflicts_nested_past_the_recursion_limit_are_refused():
     assert max_weight_conflict_free(af.nodes, af.attacks, weights)[:2] == (181, 2)
 
 
+@pytest.mark.xfail(strict=True, raises=InputError,
+                   reason="each out-branch removes only its split node, so the search "
+                          "nests about one branching per node and passes the recursion "
+                          "limit (ROADMAP item 15)")
+def test_a_thousand_node_clique_less_a_matching_is_counted():
+    # As above at the default recursion limit: 1,000 nodes, every other
+    # pair unconflicted.  The empty set, the 1,000 singletons and the 500
+    # unconflicted pairs.
+    nodes = [f"g{i:04d}" for i in range(1000)]
+    unconflicted = set(zip(nodes[::2], nodes[1::2]))
+    af = AbstractAF.of(nodes, [pair for pair in combinations(nodes, 2)
+                               if pair not in unconflicted])
+    count, best, _ = max_weight_conflict_free(af.nodes, af.attacks, dict.fromkeys(nodes, 1))
+    assert (count, best) == (1501, 2)
+
+
 def test_a_pipeline_run_leaves_no_cyclic_garbage(cleaner_scenario):
     # Left to the cyclic collector, working state held in a reference cycle
     # would outlive each selection.

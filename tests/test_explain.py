@@ -39,8 +39,9 @@ from goalarg import (
     why,
     why_not,
 )
-from goalarg.explain import SCHEMAS
+from goalarg.explain import SCHEMAS, RuleSchema
 from oracles import (
+    RULES,
     AbstractAF,
     complete_extensions,
     defeats,
@@ -86,6 +87,11 @@ EXPECTED_INSTANCES = {
 def test_schema_table_is_exactly_the_six_rules():
     assert [s.id for s in SCHEMAS] == ["r1", "r2", "r3", "r4", "r5", "r6"]
     assert [s.decisive for s in SCHEMAS] == [False, False, False, False, True, True]
+    # A rule is its id, its head's polarity and whether it decides; its
+    # body is read where it fires, and the oracles write out the rest.
+    assert RuleSchema._fields == ("id", "head_pursued", "decisive")
+    assert [(s.id, s.head_pursued) for s in SCHEMAS] == [
+        (rule_id, head_pursued) for rule_id, _, _, head_pursued in RULES]
 
 
 def test_trigger_rules_on_worked_example(cleaner_model):
@@ -147,6 +153,10 @@ def test_trigger_rules_match_the_definition():
         kept = [b for b in beliefs if rng.random() >= 0.2]
         rng.shuffle(kept)
         belief_sets.append(tuple(kept))
+    # And the seed-1 benchmark documents, where equal preferences fire r4
+    # hundreds of times.
+    for family in ("select-sparse", "explain-dense", "cli-mix"):
+        belief_sets += [model.beliefs for model in pipeline_models(family)]
     for beliefs in belief_sets:
         got = [instance_record(i) for i in trigger_rules(beliefs)]
         assert got == [instance_record(i) for i in trigger_brute(beliefs)]
