@@ -213,10 +213,15 @@ class ExplanatoryAF(NamedTuple):
         rebut each other, and each rebuttal is a defeat, except that a
         non-decisive argument does not defeat a decisive one.  So a
         max-utility argument defeats its opponents one way, and any other
-        rebuttal stays mutual."""
-        pro, con = self.pro, self.con
-        rebuttals = [(a, b) for a in pro for b in con] + [(b, a) for a in pro for b in con]
-        return frozenset((a.id, b.id) for a, b in rebuttals if a.decisive or not b.decisive)
+        rebuttal stays mutual.  Each side's ids and decisiveness are read
+        once a read, not once per pair."""
+        pro = [(a.id, a.decisive) for a in self.pro]
+        con = [(b.id, b.decisive) for b in self.con]
+        return frozenset(chain(
+            ((a, b) for a, a_decisive in pro for b, b_decisive in con
+             if a_decisive or not b_decisive),
+            ((b, a) for a, a_decisive in pro for b, b_decisive in con
+             if b_decisive or not a_decisive)))
 
 
 _INDEX = attrgetter("index")

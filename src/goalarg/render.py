@@ -2,15 +2,21 @@
 
 Each rule schema has one sentence template; which template applies to an
 argument is decided by the rule its instance came from.  Templates are
-plain data, so adding schemes later needs no engine change.  Only partial
-explanations render as sentences, each an immutable named tuple;
-complete explanations are graphs and go out as DOT or structured
-documents.
+plain data, written once in the read-only `SENTENCE_TEMPLATES`, so adding
+schemes later needs no engine change.  Each template is read once, at
+import, into a printf form (`%` escaped, each `{slot}` as `%(slot)s`),
+and a sentence is that form filled from one dict of its instance's x, y
+and label set: values go in verbatim, whatever braces or `%` signs they
+hold.  Only partial explanations render as sentences, each an immutable
+named tuple; complete explanations are graphs and go out as DOT or
+structured documents.
 """
 
 from __future__ import annotations
 
+from _string import formatter_parser  # what `string.Formatter.parse` runs
 from collections.abc import Mapping
+from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InputError
@@ -21,7 +27,7 @@ if TYPE_CHECKING:
     from .goal_graph import GoalAF
 
 
-SENTENCE_TEMPLATES: Mapping[str, str] = {
+SENTENCE_TEMPLATES: Mapping[str, str] = MappingProxyType({
     "r1": "{x} has no incompatibility, so it became pursued.",
     "r2": (
         "{x} and {y} have the following conflicts: '{ls}'. "
@@ -40,7 +46,23 @@ SENTENCE_TEMPLATES: Mapping[str, str] = {
         "Since {x} did not belong to the set of goals that maximizes the utility, "
         "it did not become pursued."
     ),
-}
+})
+
+
+def _printf_form(template: str) -> str:
+    """The template as `str.format` reads it, written as a printf form.
+    Its slots are bare names, with no format spec or conversion."""
+    return "".join(
+        literal.replace("%", "%%") + ("" if slot is None else f"%({slot})s")
+        for literal, slot, _spec, _conversion in formatter_parser(template)
+    )
+
+
+_FORMS = {rule: _printf_form(template) for rule, template in SENTENCE_TEMPLATES.items()}
+
+
+# Builds a named tuple from its fields in C, as `explain` builds its records.
+_new = tuple.__new__
 
 
 class ExplanatorySentence(NamedTuple):
@@ -54,19 +76,22 @@ def render_argument(
 ) -> ExplanatorySentence:
     """Apply the scheme matching the argument's rule.
 
-    The slots are the instance's substitution, with `x` and `y` resolved
-    through `names` to their display predicates, verbatim; label sets
-    render as their letters in fixed t, r, s order.
+    The slots are the instance's x and y, resolved through `names` to
+    their display predicates, verbatim, and its label set, rendered as its
+    letters in fixed t, r, s order.
     """
     inst = arg.instance
-    slots = inst.substitution()
-    for var in ("x", "y"):
-        if var in slots:
-            if slots[var] not in names:
-                raise InputError(f"no predicate known for goal {slots[var]!r}")
-            slots[var] = names[slots[var]]
-    text = SENTENCE_TEMPLATES[inst.schema_id].format(**slots)
-    return ExplanatorySentence(arg.id, inst.schema_id, text)
+    rule, x, y, labels = inst.schema.id, inst.x, inst.y, inst.labels
+    if x not in names:
+        raise InputError(f"no predicate known for goal {x!r}")
+    slots = {"x": names[x]}
+    if y is not None:
+        if y not in names:
+            raise InputError(f"no predicate known for goal {y!r}")
+        slots["y"] = names[y]
+    if labels is not None:
+        slots["ls"] = format_kinds(labels)
+    return _new(ExplanatorySentence, (arg.id, rule, _FORMS[rule] % slots))
 
 
 def render_partial_explanation(

@@ -17,6 +17,7 @@ from goalarg import (
     Scenario,
     kinds_from_letters,
     load_scenario,
+    parse_scenario,
     run_pipeline,
 )
 
@@ -57,6 +58,21 @@ def bench_gen():
         sys.modules[name] = module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
     return module
+
+
+@cache
+def pipeline_scenarios(family):
+    """The cleaner world (family None), or every seed-1 document of a
+    benchmark workload, loaded once for the tests."""
+    if family is None:
+        return (load_scenario(CLEANER_WORLD),)
+    return tuple(parse_scenario(doc) for doc in bench_gen().family_docs(family, 1, 100))
+
+
+@cache
+def pipeline_models(family):
+    """The models of `pipeline_scenarios(family)`, in order, built once."""
+    return tuple(run_pipeline(scenario).model for scenario in pipeline_scenarios(family))
 
 
 def cleaner_general_af() -> GeneralAF:

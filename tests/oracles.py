@@ -24,6 +24,7 @@ from typing import NamedTuple
 from goalarg import SCHEMAS, Claim, InputError, RuleInstance, Semantics
 from goalarg.af_core import max_weight_conflict_free
 from goalarg.goal_graph import check_attacks
+from goalarg.render import SENTENCE_TEMPLATES
 
 
 class AbstractAF(NamedTuple):
@@ -392,3 +393,16 @@ def defeats(a, b):
 def conflict_pairs(goal_af):
     """The undirected conflicts underlying a goal framework's attacks."""
     return frozenset(frozenset(pair) for pair in goal_af.attacks)
+
+
+def render_brute(arg, names):
+    """An argument's sentence text by definition: its rule's template,
+    filled by `str.format` from its instance's substitution, with x and y
+    each replaced by its display predicate."""
+    slots = arg.instance.substitution()
+    for var in ("x", "y"):
+        if var in slots:
+            if slots[var] not in names:
+                raise InputError(f"no predicate known for goal {slots[var]!r}")
+            slots[var] = names[slots[var]]
+    return SENTENCE_TEMPLATES[arg.schema_id].format(**slots)

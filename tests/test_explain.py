@@ -2,12 +2,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from functools import cache
 
 import pytest
 
-from conftest import (CLEANER_WORLD, bench_gen, cleaner_general_af, random_general_af,
-                      random_goal_af)
+from conftest import cleaner_general_af, pipeline_models, random_general_af, random_goal_af
 from goalarg import (
     Belief,
     BeliefKind,
@@ -29,7 +27,6 @@ from goalarg import (
     extensions_of,
     generate_beliefs,
     kinds_from_letters,
-    load_scenario,
     parse_scenario,
     render_argument,
     require_valid,
@@ -518,16 +515,6 @@ def test_pipeline_extensions_match_af_core_under_every_semantics():
                     assert [a.index for a in ext] == sorted(a.index for a in ext)
 
 
-@cache
-def pipeline_models(family):
-    """The cleaner world's model (family None), or those of every seed-1
-    document of a benchmark workload, built once for the tests below."""
-    if family is None:
-        return (run_pipeline(load_scenario(CLEANER_WORLD)).model,)
-    return tuple(run_pipeline(parse_scenario(doc)).model
-                 for doc in bench_gen().family_docs(family, 1, 100))
-
-
 @pytest.mark.parametrize("family", ["select-sparse", "explain-dense", "cli-mix"])
 def test_every_semantics_reads_the_grounded_extension_on_benchmark_documents(family):
     # Each framework of the benchmark's seed-1 documents has one decisive
@@ -568,7 +555,8 @@ def test_each_framework_is_its_two_sides(family):
     # on the cleaner world and every seed-1 benchmark document, each side is
     # in index order, exactly one side holds the one decisive argument, and
     # that side, which agrees with the selection, is the one extension under
-    # every semantics.
+    # every semantics.  Its defeats are the pairs the defeat rule keeps over
+    # pro × con, in both directions.
     for model in pipeline_models(family):
         for goal, xaf in model.xafs.items():
             assert type(xaf) is ExplanatoryAF
@@ -585,6 +573,9 @@ def test_each_framework_is_its_two_sides(family):
             assert decisive.claim.pursued == (goal in model.selection.pursued)
             for semantics in Semantics:
                 assert extensions_of(xaf, semantics) == (side,)
+            rebuttals = [(a, b) for a in xaf.pro for b in xaf.con]
+            rebuttals += [(b, a) for a, b in rebuttals]
+            assert xaf.defeats == {(a.id, b.id) for a, b in rebuttals if defeats(a, b)}
 
 
 def assert_closed_form_is_the_reference(xaf):

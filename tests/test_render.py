@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import GOLDEN_DIR, cleaner_general_af
+from conftest import GOLDEN_DIR, cleaner_general_af, pipeline_models, pipeline_scenarios
 from goalarg import (
     GeneralAF,
     InputError,
@@ -24,8 +27,9 @@ from goalarg import (
     why,
     why_not,
 )
-from goalarg.explain import Explanation, ExplanationKind, QueryKind
-from goalarg.render import SENTENCE_TEMPLATES
+from goalarg.explain import SCHEMAS, Explanation, ExplanationKind, QueryKind
+from goalarg.render import SENTENCE_TEMPLATES, ExplanatorySentence, _printf_form
+from oracles import render_brute
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +109,60 @@ def test_unresolvable_goal_id(cleaner_model):
         render_argument(arg, {})
 
 
+@pytest.mark.parametrize("missing", ["g1", "g4"])
+def test_an_unknown_x_or_y_is_named(cleaner_model, names, missing):
+    # x is checked before y; each message is the oracle's.
+    arg = find_argument(cleaner_model, "r2", "g1", "g4")
+    partial = {g: p for g, p in names.items() if g != missing}
+    message = re.escape(f"no predicate known for goal {missing!r}")
+    for render in (render_argument, render_brute):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            render(arg, partial)
+
+
+@pytest.mark.parametrize("family", [None, "select-sparse", "explain-dense", "cli-mix"])
+def test_every_argument_renders_as_its_template_defines(family):
+    # On the cleaner world and every seed-1 benchmark document, each
+    # argument's sentence is its template filled by `str.format`.
+    for scenario, model in zip(pipeline_scenarios(family), pipeline_models(family)):
+        names = scenario.names()
+        for arg in model.arguments:
+            sentence = render_argument(arg, names)
+            assert type(sentence) is ExplanatorySentence
+            assert sentence == ExplanatorySentence(arg.id, arg.schema_id, render_brute(arg, names))
+
+
+# Predicates that printf and `str.format` would read as markup if they
+# were not inserted verbatim, and non-ASCII text.
+AWKWARD = st.lists(
+    st.sampled_from(["%", "%%", "%(x)s", "%s", "{x}", "{", "}", "{{", "é", "目標"]) | st.text(),
+    max_size=4,
+).map("".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(AWKWARD, min_size=5, max_size=5))
+def test_predicates_are_inserted_verbatim(cleaner_model, predicates):
+    names = dict(zip(("g1", "g2", "g3", "g4", "g5"), predicates))
+    for arg in cleaner_model.arguments:
+        text = render_argument(arg, names).text
+        assert text == render_brute(arg, names)
+        for goal in (arg.instance.x, arg.instance.y):
+            assert goal is None or names[goal] in text
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(["{x}", "{y}", "{ls}", "{{", "}}", "%", "%%", "%(x)s", "é "])
+                | st.text(alphabet=st.characters(exclude_characters="{}")), max_size=8),
+       st.lists(AWKWARD, min_size=3, max_size=3))
+def test_a_printf_form_fills_as_its_template_formats(pieces, values):
+    # The form is read with the parser `str.format` uses: literal `%` is
+    # escaped, doubled braces are literal, and each slot is a mapping key.
+    template = "".join(pieces)
+    slots = dict(zip(("x", "y", "ls"), values))
+    assert _printf_form(template) % slots == template.format(**slots)
+
+
 def test_partial_explanations_match_golden_file(cleaner_model, names):
     expected = golden_sentences()
     queries = {
@@ -149,9 +207,16 @@ def test_rendering_is_stable(cleaner_model, names):
 
 
 def test_every_schema_has_a_template():
-    from goalarg.explain import SCHEMAS
-
     assert {s.id for s in SCHEMAS} == set(SENTENCE_TEMPLATES)
+    assert len(SENTENCE_TEMPLATES) == len(SCHEMAS) == 6
+
+
+def test_templates_are_read_only():
+    # The printf forms are read from the templates once, so the templates
+    # cannot change under them.
+    with pytest.raises(TypeError):
+        SENTENCE_TEMPLATES["r1"] = "{x} was pursued."
+    assert SENTENCE_TEMPLATES["r1"] == "{x} has no incompatibility, so it became pursued."
 
 
 def plan_af(ids, attacks=()):
