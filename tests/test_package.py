@@ -152,12 +152,11 @@ def test_importing_the_package_loads_no_submodule():
     assert done.stdout.strip() == "['goalarg']"
 
 
-def test_the_search_loads_only_its_errors():
+def test_the_search_loads_no_other_package_module():
     done = fresh_python("-c", f"import goalarg.af_core; {LOADED}; "
                               "print('dataclasses' in sys.modules)")
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == [
-        "['goalarg', 'goalarg.af_core', 'goalarg.errors']", "False"]
+    assert done.stdout.splitlines() == ["['goalarg', 'goalarg.af_core']", "False"]
 
 
 def test_the_loader_loads_no_later_stage():
