@@ -6,10 +6,10 @@ when no two of its members conflict.  Checking the graph is the caller's
 work: `GoalAF` refuses an undeclared goal or a self-attack when built.
 
 Sets are integer bitmasks with integer scores.  The conflict graph splits
-into connected pieces whose counts multiply; each piece branches on its
-nodes in conflict with all the others, or else on a node of highest
-degree, on one work stack at any depth.  Unconflicted nodes cost nothing,
-but one large, sparse connected piece can still take exponential time.
+into connected pieces whose counts multiply; a one-node piece is answered
+from its weight, and any other branches on its nodes in conflict with all
+the others, or else on a node of highest degree, on one work stack at any
+depth: one large, sparse connected piece can still take exponential time.
 The maxima come back in a fixed lexicographic order, stable for golden tests.
 """
 
@@ -35,10 +35,11 @@ def max_weight_conflict_free(
     integer bitmasks, the first node in sorted order the highest bit.  The
     graph splits into connected pieces: across pieces counts multiply, best
     scores add, and the maxima are the unions of one maximum of each piece.
-    A piece branches on the nodes in conflict with all its others, each a
-    set on its own, or when there is none, on a node v of highest degree:
-    the sets without v, and the sets with v, whose other members avoid v's
-    neighbours.  Each piece is solved once, after those its branches leave.
+    A one-node piece is answered from its weight.  Any other branches on
+    the nodes in conflict with all its others, each a set on its own, or
+    when there is none, on a node v of highest degree: the sets without v,
+    and the sets with v, whose other members avoid v's neighbours.  Each
+    piece is solved once, after those its branches leave.
     Returns (number of sets, best score, the sets scoring it); only those
     are built as frozensets, in the lexicographic order of their sorted
     nodes, the empty set first: the order in which a depth-first listing
@@ -54,8 +55,9 @@ def max_weight_conflict_free(
     step = {b: (~closed[node], weights[node]) for node, b in bits.items()}
     full = (1 << n) - 1
     top = _pieces(full, step)
+    memo: dict[int, _Found] = {b: (2, w, [b]) if w > 0 else (2, 0, [0, b] if w == 0 else [0])
+                               for b, (_, w) in step.items()}  # each one-node piece's answer
     # Pieces to expand, each then pushed back under its branches' pieces to score.
-    memo: dict[int, _Found] = {}
     stack: list[int | tuple[int, list[_Branch]]] = top[:]
     while stack:
         piece = stack.pop()

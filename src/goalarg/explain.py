@@ -139,14 +139,12 @@ def trigger_rules(beliefs: Iterable[Belief]) -> tuple[RuleInstance, ...]:
     r1, r5, r6 = ([(x, None, None, (b,), x) for (x,), b in sorted(by_kind[k].items())]
                   for k in (BeliefKind.NOT_INCOMP, BeliefKind.MAX_UTIL, BeliefKind.NOT_MAX_UTIL))
 
-    claims: dict[tuple[str, bool], Claim] = {}
     instances: list[RuleInstance] = []
     for schema, fired in zip(SCHEMAS, (r1, r2, r3, r4, r5, r6)):
+        pursued = schema.head_pursued
         for x, y, labels, body, head in fired:
-            key = (head, schema.head_pursued)
-            claim = claims.get(key) or claims.setdefault(key, _new(Claim, key))
             instances.append(_new(RuleInstance, (
-                schema, x, y, labels, body, claim, len(instances) + 1)))
+                schema, x, y, labels, body, _new(Claim, (head, pursued)), len(instances) + 1)))
     return tuple(instances)
 
 

@@ -260,11 +260,12 @@ def _one_plan_per_goal(
     """The plan level a goal-level document stands for: each goal is its
     own single plan, and each declared conflict holds in both directions."""
     goal_ids = {g.id for g in goals}
-    attacks: dict[tuple[str, str], frozenset[IncompatibilityKind]] = {}
+    attacks = dict(entries)
     # Entries are checked in document order, and sorted only when one
     # fails, to name the least faulty entry.
     for (a, b), kinds in entries.items():
-        if a == b or a not in goal_ids or b not in goal_ids or entries.get((b, a), kinds) != kinds:
+        if (a == b or a not in goal_ids or b not in goal_ids
+                or attacks.setdefault((b, a), kinds) != kinds):  # adds a missing reverse
             for (a, b), kinds in sorted(entries.items()):
                 for goal in (a, b):
                     if goal not in goal_ids:
@@ -275,7 +276,6 @@ def _one_plan_per_goal(
                 if entries.get((b, a), kinds) != kinds:
                     raise ScenarioError(f"kinds for ({a}, {b}) disagree with the reverse direction",
                                         f"goal_attacks[({a}, {b})]")
-        attacks[(a, b)] = attacks[(b, a)] = kinds
     plans = tuple(InstrumentalArgDecl(g.id, g.id) for g in goals)
     return GeneralAF(goals, plans, attacks)
 

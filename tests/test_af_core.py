@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import random
 import sys
 from itertools import combinations
 
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from goalarg import InputError, run_pipeline
+from conftest import pipeline_models, random_af
+from goalarg import InputError, af_core, run_pipeline
 from goalarg.af_core import max_weight_conflict_free
 from oracles import (
     AbstractAF,
@@ -210,7 +212,8 @@ def test_every_small_graph_matches_the_oracle():
             attacks = [pair for k, pair in enumerate(pairs) if edges >> k & 1]
             af = AbstractAF.of(nodes, attacks)
             sets = oracles.conflict_free_brute(nodes, set(attacks))
-            for weights in (dict.fromkeys(nodes, 0), {v: i % 3 for i, v in enumerate(nodes)}):
+            for weights in (dict.fromkeys(nodes, 0), {v: i % 3 for i, v in enumerate(nodes)},
+                            {v: i % 3 - 1 for i, v in enumerate(nodes)}):
                 best = max(sum(weights[v] for v in s) for s in sets)
                 maxima = sorted((s for s in sets if sum(weights[v] for v in s) == best),
                                 key=sorted)
@@ -218,6 +221,29 @@ def test_every_small_graph_matches_the_oracle():
                 assert found == (len(sets), best, maxima)
             graphs += 1
     assert graphs == 1100
+
+
+def test_a_one_node_piece_is_answered_without_a_split(monkeypatch):
+    # A one-node piece, whole or left by a branch, is answered from its
+    # weight, so the split rule only ever sees pieces of two nodes or more.
+    cases = [(m.gaf_sc.goals, m.gaf_sc.attacks, m.gaf_sc.weights)
+             for family in ("select-sparse", "explain-dense", "cli-mix")
+             for m in pipeline_models(family)]
+    rng = random.Random(1)
+    for _ in range(300):
+        nodes, attacks = random_af(rng)  # sparse draws leave nodes isolated
+        cases.append((nodes, attacks, {v: rng.randint(0, 2) for v in nodes}))
+    expected = [max_weight_conflict_free(*case) for case in cases]
+    split_nodes, pieces = af_core._split_nodes, []
+
+    def recording(piece, step):
+        pieces.append(piece)
+        return split_nodes(piece, step)
+
+    monkeypatch.setattr(af_core, "_split_nodes", recording)
+    assert [max_weight_conflict_free(*case) for case in cases] == expected
+    assert pieces
+    assert min(piece.bit_count() for piece in pieces) >= 2
 
 
 def frame_depth():
